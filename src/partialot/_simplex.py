@@ -1,4 +1,4 @@
-"""Exact primal transportation simplex over rational arithmetic.
+"""Exact primal transportation simplex over integer arithmetic.
 
 Solves the balanced transportation problem
 
@@ -6,10 +6,20 @@ Solves the balanced transportation problem
     s.t. sum_j f[i][j] = supply[i],  sum_i f[i][j] = demand[j],  f >= 0
 
 with all data given as :class:`~fractions.Fraction` (floats should be
-converted by the caller; the conversion is exact).  Everything the
-algorithm does is addition, subtraction and comparison, so with inputs
-whose denominators are powers of two the arithmetic stays cheap and the
-returned flows, duals and objective are exact.
+converted by the caller; the conversion is exact).  The costs are multiplied
+by the least common denominator of the cost cells and the masses by that of
+the supplies and demands, so the pivot loop adds, subtracts and compares
+Python ``int`` only.  Scaling costs by a positive constant scales every
+reduced cost alike, and scaling masses scales every flow alike, so each
+comparison, and hence each pivot, is the one the rational simplex would make.
+The flows and potentials are divided back once at the end and are exact.
+
+The basis is a spanning tree over the m sources and n sinks, rooted at
+source 0 with potential 0 and stored as parent pointers, depths and child
+sets.  The cycle of an entering cell is found by walking its two endpoints
+up to their common ancestor; after the pivot only the subtree cut off by the
+leaving cell is re-hung, and its potentials shift by the entering reduced
+cost.
 
 The entering cell is normally the one with the most negative reduced cost
 (ties broken by smallest row-major index); after a run of m + n consecutive
@@ -20,10 +30,9 @@ minimum-ratio candidates.  Both rules are deterministic, so the selected
 optimal vertex is reproducible.
 """
 
-from collections import deque
 from fractions import Fraction
-
-_ZERO = Fraction(0)
+from math import lcm
+from operator import sub
 
 
 def solve_transportation(supply, demand, cost):
@@ -41,171 +50,198 @@ def solve_transportation(supply, demand, cost):
     if m == 0 or n == 0:
         if any(s != 0 for s in supply) or any(d != 0 for d in demand):
             raise ValueError("empty side of an unbalanced transportation problem")
-        return {}, [_ZERO] * m, [_ZERO] * n, 0
+        return {}, [Fraction(0)] * m, [Fraction(0)] * n, 0
+
+    # Lists, not generators: a tuple built from a generator is resized, and
+    # freeing it fills the interpreter's per-size tuple free lists, which
+    # then hold memory for the rest of the process.
+    mass_scale = lcm(*[x.denominator for side in (supply, demand) for x in side])
+    cost_scale = lcm(*[c.denominator for row in cost for c in row])
+    supply = [s.numerator * (mass_scale // s.denominator) for s in supply]
+    demand = [d.numerator * (mass_scale // d.denominator) for d in demand]
+    cost = [[c.numerator * (cost_scale // c.denominator) for c in row] for row in cost]
     if sum(supply) != sum(demand):
         raise ValueError("transportation problem is not balanced")
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
         raise ValueError("supplies and demands must be non-negative")
 
-    flow, row_adj, col_adj = _northwest_corner(supply, demand, m, n)
-
+    tree = _northwest_corner(supply, demand, cost)
     stall_limit = m + n
     stalled = 0
     while True:
-        u, v = _tree_duals(cost, row_adj, col_adj, m, n)
-        entering = None
-        if stalled < stall_limit:
-            # steepest descent: most negative reduced cost, smallest index on ties
-            best = _ZERO
-            for i in range(m):
-                ui = u[i]
-                cost_i = cost[i]
-                adj_i = row_adj[i]
-                for j in range(n):
-                    if j not in adj_i:
-                        rc = cost_i[j] - ui - v[j]
-                        if rc < best:
-                            best = rc
-                            entering = (i, j)
-        else:
-            # Bland's rule: escape degenerate stalling without cycling
-            for i in range(m):
-                ui = u[i]
-                cost_i = cost[i]
-                adj_i = row_adj[i]
-                for j in range(n):
-                    if j not in adj_i and cost_i[j] - ui - v[j] < 0:
-                        entering = (i, j)
-                        break
-                if entering is not None:
-                    break
+        entering = _entering(cost, tree.u, tree.v, bland=stalled >= stall_limit)
         if entering is None:
             break
-        moved = _pivot(entering, flow, row_adj, col_adj, m, n)
+        moved = tree.pivot(*entering)
         stalled = 0 if moved else stalled + 1
 
-    alt = 0
-    for i in range(m):
-        ui = u[i]
-        cost_i = cost[i]
-        adj_i = row_adj[i]
-        for j in range(n):
-            if j not in adj_i and cost_i[j] - ui - v[j] == 0:
-                alt += 1
+    u, v = tree.u, tree.v
+    # Basic cells have reduced cost exactly 0; the rest of the zeros are ties.
+    zeros = sum(list(map(sub, cost_i, v)).count(ui) for cost_i, ui in zip(cost, u))
+    alt = zeros - (m + n - 1)
 
-    positive = {cell: f for cell, f in flow.items() if f > 0}
-    return positive, u, v, alt
+    flows = {cell: Fraction(f, mass_scale) for cell, f in tree.flow.items() if f > 0}
+    return (
+        flows,
+        [Fraction(x, cost_scale) for x in u],
+        [Fraction(x, cost_scale) for x in v],
+        alt,
+    )
 
 
-def _northwest_corner(supply, demand, m, n):
-    """Initial basic feasible solution with exactly m + n - 1 basic cells."""
+def _entering(cost, u, v, bland):
+    """The entering cell ``(i, j, reduced_cost)``, or None at optimality.
+
+    With ``bland`` false this is the most negative reduced cost, smallest
+    row-major index on ties; with ``bland`` true it is the first negative
+    reduced cost in row-major order.  Basic cells have reduced cost exactly
+    0, so scanning every cell considers only non-basic ones.
+    """
+    best = 0
+    entering = None
+    for i, (cost_i, ui) in enumerate(zip(cost, u)):
+        lowest = min(map(sub, cost_i, v))
+        if lowest - ui < best:
+            row = list(map(sub, cost_i, v))
+            if bland:
+                j = next(j for j, r in enumerate(row) if r < ui)
+                return i, j, row[j] - ui
+            best = lowest - ui
+            entering = (i, row.index(lowest), best)
+    return entering
+
+
+class _BasisTree:
+    """Flows and potentials of a basis, kept as a spanning tree.
+
+    Nodes are integers: sources 0..m-1 and sinks m..m+n-1.  Source 0 is the
+    root and keeps potential 0.  ``flow`` maps each basic cell ``(i, j)`` to
+    its flow, in the order the cells entered the basis.
+    """
+
+    def __init__(self, m, n, cost):
+        self.m = m
+        self.cost = cost
+        self.flow = {}
+        self.parent = [-1] * (m + n)
+        self.depth = [0] * (m + n)
+        self.children = [set() for _ in range(m + n)]
+        self.u = [0] * m
+        self.v = [0] * n
+
+    def attach(self, i, j, flow, new_source):
+        """Add basic cell (i, j) whose source (or sink) is new to the tree."""
+        m = self.m
+        self.flow[(i, j)] = flow
+        child, parent = (i, m + j) if new_source else (m + j, i)
+        self.parent[child] = parent
+        self.depth[child] = self.depth[parent] + 1
+        self.children[parent].add(child)
+        if new_source:
+            self.u[i] = self.cost[i][j] - self.v[j]
+        else:
+            self.v[j] = self.cost[i][j] - self.u[i]
+
+    def _cell(self, x):
+        """The basic cell joining node ``x`` to its parent."""
+        m = self.m
+        return (x, self.parent[x] - m) if x < m else (self.parent[x], x - m)
+
+    def pivot(self, i0, j0, rc):
+        """Pivot cell (i0, j0) of reduced cost ``rc`` in; True iff mass moved."""
+        m, parent, depth, flow = self.m, self.parent, self.depth, self.flow
+        # Walk both endpoints up to their common ancestor.  With the entering
+        # cell taking +theta, the cycle's minus cells are those whose child
+        # node is a source on the i0 side or a sink on the j0 side.
+        a, b = i0, m + j0
+        side_a, side_b = [], []
+        while depth[a] > depth[b]:
+            side_a.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            side_b.append(b)
+            b = parent[b]
+        while a != b:
+            side_a.append(a)
+            side_b.append(b)
+            a, b = parent[a], parent[b]
+        minus = [self._cell(x) for x in side_a if x < m]
+        minus += [self._cell(x) for x in side_b if x >= m]
+        plus = [self._cell(x) for x in side_a if x >= m]
+        plus += [self._cell(x) for x in side_b if x < m]
+
+        theta = min(flow[e] for e in minus)
+        leaving = min(e for e in minus if flow[e] == theta)
+        for e in minus:
+            flow[e] -= theta
+        for e in plus:
+            flow[e] += theta
+        flow[(i0, j0)] = theta
+        del flow[leaving]
+
+        # The leaving cell's child node roots the subtree that is cut off; it
+        # lies on the i0 side iff that node is a source.
+        li, lj = leaving
+        cut = li if parent[li] == m + lj else m + lj
+        if cut < m:
+            start, anchor, du, dv = i0, m + j0, rc, -rc
+        else:
+            start, anchor, du, dv = m + j0, i0, -rc, rc
+        self._rehang(cut, start, anchor)
+
+        # Shift the subtree's potentials so the entering cell gets reduced
+        # cost 0, and renumber its depths.
+        u, v, children = self.u, self.v, self.children
+        depth[start] = depth[anchor] + 1
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x < m:
+                u[x] += du
+            else:
+                v[x - m] += dv
+            d = depth[x] + 1
+            for c in children[x]:
+                depth[c] = d
+                stack.append(c)
+        return theta > 0
+
+    def _rehang(self, cut, start, anchor):
+        """Detach the subtree under ``cut``, re-root it at ``start``, hang it on ``anchor``."""
+        parent, children = self.parent, self.children
+        children[parent[cut]].discard(cut)
+        x, new_parent = start, anchor
+        while True:
+            old_parent = parent[x]
+            parent[x] = new_parent
+            children[new_parent].add(x)
+            if x == cut:
+                break
+            children[old_parent].discard(x)
+            x, new_parent = old_parent, x
+
+
+def _northwest_corner(supply, demand, cost):
+    """Initial basis tree with exactly m + n - 1 basic cells."""
+    m, n = len(supply), len(demand)
+    tree = _BasisTree(m, n, cost)
     s = list(supply)
     d = list(demand)
-    flow = {}
-    row_adj = [set() for _ in range(m)]
-    col_adj = [set() for _ in range(n)]
     i = j = 0
+    new_source = False
     while True:
         theta = min(s[i], d[j])
-        flow[(i, j)] = theta
-        row_adj[i].add(j)
-        col_adj[j].add(i)
+        tree.attach(i, j, theta, new_source)
         s[i] -= theta
         d[j] -= theta
         if i == m - 1 and j == n - 1:
             break
         if s[i] == 0 and i < m - 1:
-            i += 1
+            i, new_source = i + 1, True
         elif d[j] == 0 and j < n - 1:
-            j += 1
+            j, new_source = j + 1, False
         elif i < m - 1:
-            i += 1
+            i, new_source = i + 1, True
         else:
-            j += 1
-    return flow, row_adj, col_adj
-
-
-def _tree_duals(cost, row_adj, col_adj, m, n):
-    """Dual potentials from the basis tree, rooted at source 0 with u[0] = 0."""
-    u = [None] * m
-    v = [None] * n
-    u[0] = _ZERO
-    queue = deque([("s", 0)])
-    while queue:
-        side, k = queue.popleft()
-        if side == "s":
-            for j in row_adj[k]:
-                if v[j] is None:
-                    v[j] = cost[k][j] - u[k]
-                    queue.append(("t", j))
-        else:
-            for i in col_adj[k]:
-                if u[i] is None:
-                    u[i] = cost[i][k] - v[k]
-                    queue.append(("s", i))
-    # The basis is a spanning tree, so every potential is assigned.
-    return u, v
-
-
-def _tree_path(i0, j0, row_adj, col_adj, m):
-    """Unique path from source i0 to sink j0 through the basis tree.
-
-    Nodes are encoded as integers: sources 0..m-1, sinks m..m+n-1.  Returns
-    the node list [i0, m + j_1, i_1, ..., m + j0].
-    """
-    start = i0
-    goal = m + j0
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        if node < m:
-            neighbours = (m + j for j in row_adj[node])
-        else:
-            neighbours = iter(col_adj[node - m])
-        for nb in neighbours:
-            if nb not in parent:
-                parent[nb] = node
-                queue.append(nb)
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _pivot(entering, flow, row_adj, col_adj, m, n):
-    """Pivot the entering cell into the basis; True iff mass actually moved."""
-    i0, j0 = entering
-    path = _tree_path(i0, j0, row_adj, col_adj, m)
-
-    # Cycle edges along the path, oriented as (source, sink).  With the
-    # entering cell taking +theta, path edges alternate -, +, -, ... and the
-    # path length from a source to a sink is odd, so minus edges sit at the
-    # even positions.
-    edges = []
-    for a, b in zip(path, path[1:]):
-        if a < m:
-            edges.append((a, b - m))
-        else:
-            edges.append((b, a - m))
-    minus = edges[0::2]
-    plus = edges[1::2]
-
-    theta = min(flow[e] for e in minus)
-    leaving = min(e for e in minus if flow[e] == theta)
-
-    for e in minus:
-        flow[e] -= theta
-    for e in plus:
-        flow[e] += theta
-    flow[entering] = theta
-
-    del flow[leaving]
-    row_adj[leaving[0]].discard(leaving[1])
-    col_adj[leaving[1]].discard(leaving[0])
-    row_adj[i0].add(j0)
-    col_adj[j0].add(i0)
-    return theta > 0
+            j, new_source = j + 1, False
+    return tree

@@ -45,9 +45,9 @@ def _point_to_json(pt):
 def _point_from_json(raw, path):
     if isinstance(raw, list):
         return tuple(raw)
-    if isinstance(raw, (int, float)):
-        return int(raw)
-    raise MalformedFileError(f"{path}: point must be a list or an index, got {raw!r}")
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise MalformedFileError(f"{path}: point must be a list or an integer index, got {raw!r}")
 
 
 def _resolve_pair(raw, path, default_pair):

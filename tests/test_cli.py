@@ -134,6 +134,18 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+def test_non_integer_point_index_exits_1(tmp_path, capsys):
+    pair = {"kind": "finite", "dist": [[0, 2, 3], [2, 0, 1], [3, 1, 0]], "A": [0]}
+    good = tmp_path / "good.measure"
+    good.write_text(json.dumps({"pair": pair, "atoms": [{"point": 2, "mass": 1.0}]}))
+    assert main(["dist", str(good), str(good)]) == 0
+    for k, point in enumerate((2.7, True)):
+        bad = tmp_path / f"bad{k}.measure"
+        bad.write_text(json.dumps({"pair": pair, "atoms": [{"point": point, "mass": 1.0}]}))
+        assert main(["dist", str(bad), str(good)]) == 1
+        assert "integer index" in capsys.readouterr().err
+
+
 def test_pair_mismatch_exit_code(tmp_path, capsys):
     from partialot import EuclideanBoxPair
 

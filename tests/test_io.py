@@ -117,3 +117,26 @@ def test_malformed_files(tmp_path):
 
     with pytest.raises(MalformedFileError):
         pot_io.load_pair(tmp_path / "nonexistent.json")
+
+
+FINITE_DESC = {"kind": "finite", "dist": [[0, 2, 3], [2, 0, 1], [3, 1, 0]], "A": [0]}
+
+
+@pytest.mark.parametrize("point", [2.7, 2.0, True, False])
+def test_measure_index_must_be_an_integer(tmp_path, point):
+    path = tmp_path / "f.measure"
+    path.write_text(json.dumps({"pair": FINITE_DESC, "atoms": [{"point": point, "mass": 1.0}]}))
+    with pytest.raises(MalformedFileError, match="integer index"):
+        pot_io.load_measure(path)
+
+
+@pytest.mark.parametrize("point", [1.5, True])
+def test_plan_index_must_be_an_integer(tmp_path, point):
+    path = tmp_path / "f.plan"
+    path.write_text(
+        json.dumps(
+            {"pair": FINITE_DESC, "p": 1, "entries": [{"src": point, "dst": 2, "mass": 1.0}]}
+        )
+    )
+    with pytest.raises(MalformedFileError, match="integer index"):
+        pot_io.load_plan(path)
