@@ -17,7 +17,7 @@ import os
 
 from .errors import MalformedFileError, PartialOTError
 from .measures import DiscreteMeasure, PersistenceDiagram, new_diagram, new_measure
-from .pairs import pair_from_description
+from .pairs import as_number, pair_from_description
 from .plans import TransportPlan, new_plan
 from .solver import DualPotentials
 
@@ -84,7 +84,7 @@ def load_measure(path, default_pair=None) -> DiscreteMeasure:
     atoms = []
     for k, rec in enumerate(data["atoms"]):
         try:
-            atoms.append((_point_from_json(rec["point"], path), float(rec["mass"])))
+            atoms.append((_point_from_json(rec["point"], path), as_number(rec["mass"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: atom #{k} malformed: {exc}") from exc
     try:
@@ -139,22 +139,22 @@ def load_plan(path, default_pair=None):
                 (
                     _point_from_json(rec["src"], path),
                     _point_from_json(rec["dst"], path),
-                    float(rec["mass"]),
+                    as_number(rec["mass"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: entry #{k} malformed: {exc}") from exc
     try:
-        plan = new_plan(pair, entries, float(data["p"]))
-    except PartialOTError as exc:
+        plan = new_plan(pair, entries, as_number(data["p"]))
+    except (PartialOTError, TypeError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
     duals = None
     if "duals" in data:
         raw = data["duals"]
         try:
-            phi = {_point_from_json(pt, path): float(val) for pt, val in raw["sources"]}
-            psi = {_point_from_json(pt, path): float(val) for pt, val in raw["sinks"]}
+            phi = {_point_from_json(pt, path): as_number(val) for pt, val in raw["sources"]}
+            psi = {_point_from_json(pt, path): as_number(val) for pt, val in raw["sinks"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: duals malformed: {exc}") from exc
         duals = DualPotentials(phi, psi)

@@ -10,7 +10,7 @@ diagram-distance machinery.
 from dataclasses import dataclass
 
 from .errors import AtomOnBoundaryError, NonPositiveMassError, check_exponent
-from .pairs import DEFAULT_MEMBERSHIP_TOL, HalfPlanePair, MetricPair
+from .pairs import DEFAULT_MEMBERSHIP_TOL, HalfPlanePair, MetricPair, as_number
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def new_measure(pair, atoms, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -> 
     checked = []
     for pt, mass in atoms:
         pt = pair.validate_point(pt)
-        mass = float(mass)
+        mass = as_number(mass)
         if not mass > 0.0:
             raise NonPositiveMassError(f"atom at {pt!r} has non-positive mass {mass}")
         if pair.dist_to_A(pt) <= membership_tol:

@@ -43,11 +43,14 @@ _SQRT2 = math.sqrt(2.0)
 class MetricPair:
     """Common interface of the pair catalogue.
 
-    Subclasses provide ``distance``, ``dist_to_A``, ``project_A`` and, when
-    ``geodesic_capable``, ``geo_point``.  ``cost_cell``/``boundary_cell``
-    return transport costs as exact :class:`~fractions.Fraction` values (the
-    float cost converted exactly; genuinely exact arithmetic for p = 2 on
-    the Euclidean pairs and integer p on finite pairs).
+    Subclasses provide ``validate_point``, ``_distance`` and ``_dist_to_A``
+    (on validated points), ``project_A`` and, when ``geodesic_capable``,
+    ``geo_point``.  :meth:`cost_matrix` builds the whole boundary-augmented
+    matrix of transport costs in one pass that validates each atom once.
+    Every cell is a dyadic rational, because every input is a float: the
+    float cost read exactly, or genuinely exact arithmetic for p = 2 on the
+    Euclidean pairs and integer p on finite pairs.  ``cost_cell`` and
+    ``boundary_cell`` are single-cell views of that pass.
     """
 
     kind = "abstract"
@@ -56,11 +59,17 @@ class MetricPair:
     def validate_point(self, x) -> Point:
         raise NotImplementedError
 
-    def distance(self, x, y) -> float:
+    def _distance(self, x, y) -> float:
         raise NotImplementedError
 
-    def dist_to_A(self, x) -> float:
+    def _dist_to_A(self, x) -> float:
         raise NotImplementedError
+
+    def distance(self, x, y) -> float:
+        return self._distance(self.validate_point(x), self.validate_point(y))
+
+    def dist_to_A(self, x) -> float:
+        return self._dist_to_A(self.validate_point(x))
 
     def project_A(self, x) -> Point:
         raise NotImplementedError
@@ -76,26 +85,77 @@ class MetricPair:
             f"pair kind {self.kind!r} does not support geodesic evaluation"
         )
 
-    def cost_cell(self, x, y, p: float) -> Fraction:
-        """Transport cost d(x, y)^p as an exact rational."""
-        return Fraction(self.distance(x, y) ** p)
+    def cost_matrix(self, xs, ys, p) -> tuple:
+        """The boundary-augmented cost matrix as ``(cells, scale)``.
 
-    def boundary_cell(self, x, p: float) -> Fraction:
-        """Boundary cost d(x, A)^p as an exact rational."""
-        return Fraction(self.dist_to_A(x) ** p)
+        ``cells`` has len(xs) + 1 rows of len(ys) + 1 Python ints; cell
+        (i, j) stands for ``cells[i][j] / scale``, and ``scale`` is a power of
+        two.  Row i < len(xs) holds d(x_i, y_j)^p, then d(x_i, A)^p; the last
+        row holds d(y_j, A)^p, then 0.  Here each cell is the float
+        ``d ** p`` read exactly; subclasses override this for exact powers.
+        """
+        xs, ys = self._validated(xs, ys)
+        rows = [
+            [(self._distance(x, y) ** p).as_integer_ratio() for y in ys]
+            + [(self._dist_to_A(x) ** p).as_integer_ratio()]
+            for x in xs
+        ]
+        rows.append([(self._dist_to_A(y) ** p).as_integer_ratio() for y in ys] + [(0, 1)])
+        return _on_one_scale(rows)
+
+    def _validated(self, xs, ys) -> tuple:
+        return [self.validate_point(x) for x in xs], [self.validate_point(y) for y in ys]
+
+    def cost_cell(self, x, y, p) -> Fraction:
+        """Transport cost d(x, y)^p as an exact rational (a view of cost_matrix)."""
+        cells, scale = self.cost_matrix((x,), (y,), p)
+        return Fraction(cells[0][0], scale)
+
+    def boundary_cell(self, x, p) -> Fraction:
+        """Boundary cost d(x, A)^p as an exact rational (a view of cost_matrix)."""
+        cells, scale = self.cost_matrix((x,), (), p)
+        return Fraction(cells[0][0], scale)
 
     def describe(self) -> dict:
         raise NotImplementedError
 
 
+def _on_one_scale(rows) -> tuple:
+    """Rows of dyadic ratios (n, 2^e) as ints over their largest denominator."""
+    bits = max(d.bit_length() for row in rows for _, d in row)
+    return [[n << (bits - d.bit_length()) for n, d in row] for row in rows], 1 << (bits - 1)
+
+
+def _on_one_grid(groups) -> tuple:
+    """Groups of float points as int points on one grid of step 2^-k, and k."""
+    ratios = [[[c.as_integer_ratio() for c in pt] for pt in group] for group in groups]
+    bits = max((d.bit_length() for group in ratios for pt in group for _, d in pt), default=1)
+    grid = [
+        [[n << (bits - d.bit_length()) for n, d in pt] for pt in group] for group in ratios
+    ]
+    return grid, bits - 1
+
+
+def is_number(value) -> bool:
+    """True for int, float and Fraction values; bools and strings are not numbers."""
+    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+
+
+def as_number(value) -> float:
+    """``value`` as a float, or TypeError unless :func:`is_number` holds."""
+    if not is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _as_coords(x, dim: int, pair: MetricPair) -> tuple:
-    if isinstance(x, (int, float, Fraction)):
+    if is_number(x):
         raise InvalidPointError(
             f"pair kind {pair.kind!r} expects a coordinate sequence, got {x!r}"
         )
     try:
-        coords = tuple(float(c) for c in x)
-    except (TypeError, ValueError) as exc:
+        coords = tuple(c if type(c) is float else as_number(c) for c in x)
+    except (TypeError, OverflowError) as exc:
         raise InvalidPointError(f"not a coordinate sequence: {x!r}") from exc
     if len(coords) != dim:
         raise InvalidPointError(
@@ -131,11 +191,10 @@ class HalfPlanePair(MetricPair):
             raise InvalidPointError(f"point {x!r} lies below the diagonal")
         return (a, b)
 
-    def distance(self, x, y) -> float:
-        return math.dist(self.validate_point(x), self.validate_point(y))
+    _distance = staticmethod(math.dist)
 
-    def dist_to_A(self, x) -> float:
-        a, b = self.validate_point(x)
+    def _dist_to_A(self, x) -> float:
+        a, b = x
         return max(0.0, b - a) / _SQRT2
 
     def project_A(self, x) -> tuple:
@@ -150,27 +209,27 @@ class HalfPlanePair(MetricPair):
         s = 1.0 - t
         return (s * xa + t * ya, s * xb + t * yb)
 
-    def cost_cell(self, x, y, p: float) -> Fraction:
-        if p == 2.0:
-            xa, xb = self.validate_point(x)
-            ya, yb = self.validate_point(y)
-            return (Fraction(xa) - Fraction(ya)) ** 2 + (Fraction(xb) - Fraction(yb)) ** 2
-        return Fraction(self.distance(x, y) ** p)
-
-    def boundary_cell(self, x, p: float) -> Fraction:
-        if p == 2.0:
-            a, b = self.validate_point(x)
-            gap = Fraction(b) - Fraction(a)
-            if gap < 0:
-                gap = Fraction(0)
-            return gap * gap / 2
-        return Fraction(self.dist_to_A(x) ** p)
+    def cost_matrix(self, xs, ys, p) -> tuple:
+        """At p = 2 the exact squares |x - y|^2 and (b - a)^2 / 2 in int arithmetic."""
+        if p != 2:
+            return super().cost_matrix(xs, ys, p)
+        xs, ys = self._validated(xs, ys)
+        (xs, ys), k = _on_one_grid((xs, ys))
+        # The scale 2^(2k + 1) takes the boundary's / 2, so direct cells double.
+        rows = [
+            [2 * ((xa - ya) ** 2 + (xb - yb) ** 2) for ya, yb in ys] + [max(0, xb - xa) ** 2]
+            for xa, xb in xs
+        ]
+        rows.append([max(0, b - a) ** 2 for a, b in ys] + [0])
+        return rows, 1 << (2 * k + 1)
 
     def describe(self) -> dict:
         return {"kind": "half_plane"}
 
 
 def _canon_box_corner(v) -> tuple:
+    if not all(is_number(c) for c in v):
+        raise ValueError(f"box corner coordinates must be numbers, got {v!r}")
     return tuple(float(c) for c in v)
 
 
@@ -213,13 +272,11 @@ class EuclideanBoxPair(MetricPair):
                 raise InvalidPointError(f"point {x!r} lies outside the box")
         return coords
 
-    def distance(self, x, y) -> float:
-        return math.dist(self.validate_point(x), self.validate_point(y))
+    _distance = staticmethod(math.dist)
 
-    def dist_to_A(self, x) -> float:
-        coords = self.validate_point(x)
+    def _dist_to_A(self, x) -> float:
         best = math.inf
-        for c, l, h in zip(coords, self.lo, self.hi):
+        for c, l, h in zip(x, self.lo, self.hi):
             best = min(best, c - l, h - c)
         return max(0.0, best)
 
@@ -243,28 +300,21 @@ class EuclideanBoxPair(MetricPair):
         s = 1.0 - t
         return tuple(s * a + t * b for a, b in zip(xs, ys))
 
-    def cost_cell(self, x, y, p: float) -> Fraction:
-        if p == 2.0:
-            xs = self.validate_point(x)
-            ys = self.validate_point(y)
-            return sum(
-                ((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(xs, ys)),
-                start=Fraction(0),
-            )
-        return Fraction(self.distance(x, y) ** p)
+    def cost_matrix(self, xs, ys, p) -> tuple:
+        """At p = 2 the exact squares |x - y|^2 and d(x, A)^2 in int arithmetic."""
+        if p != 2:
+            return super().cost_matrix(xs, ys, p)
+        xs, ys = self._validated(xs, ys)
+        (xs, ys, (lo, hi)), k = _on_one_grid((xs, ys, (self.lo, self.hi)))
 
-    def boundary_cell(self, x, p: float) -> Fraction:
-        if p == 2.0:
-            coords = self.validate_point(x)
-            best = None
-            for c, l, h in zip(coords, self.lo, self.hi):
-                for d in (Fraction(c) - Fraction(l), Fraction(h) - Fraction(c)):
-                    if best is None or d < best:
-                        best = d
-            if best < 0:
-                best = Fraction(0)
-            return best * best
-        return Fraction(self.dist_to_A(x) ** p)
+        def to_A(pt):
+            return max(0, min(min(c - l, h - c) for c, l, h in zip(pt, lo, hi))) ** 2
+
+        rows = [
+            [sum((a - b) ** 2 for a, b in zip(x, y)) for y in ys] + [to_A(x)] for x in xs
+        ]
+        rows.append([to_A(y) for y in ys] + [0])
+        return rows, 1 << (2 * k)
 
     def describe(self) -> dict:
         return {"kind": "euclidean_box", "lo": list(self.lo), "hi": list(self.hi)}
@@ -286,6 +336,8 @@ class FinitePair(MetricPair):
     geodesic_capable = False
 
     def __post_init__(self):
+        if not all(is_number(d) for row in self.table for d in row):
+            raise ValueError("distance table entries must be numbers")
         table = tuple(tuple(float(d) for d in row) for row in self.table)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
@@ -308,7 +360,9 @@ class FinitePair(MetricPair):
                         raise ValueError(
                             f"triangle inequality fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
                         )
-        subset = frozenset(int(a) for a in self.subset)
+        if not all(isinstance(a, int) and not isinstance(a, bool) for a in self.subset):
+            raise ValueError("subset A must hold integer indices")
+        subset = frozenset(self.subset)
         if not subset:
             raise ValueError("subset A must be non-empty")
         if not all(0 <= a < n for a in subset):
@@ -327,29 +381,33 @@ class FinitePair(MetricPair):
             raise InvalidPointError(f"index {x} out of range for {self.size} points")
         return x
 
-    def distance(self, x, y) -> float:
-        return self.table[self.validate_point(x)][self.validate_point(y)]
+    def _distance(self, x, y) -> float:
+        return self.table[x][y]
 
-    def dist_to_A(self, x) -> float:
-        i = self.validate_point(x)
-        return min(self.table[i][a] for a in self.subset)
+    def _dist_to_A(self, x) -> float:
+        return min(self.table[x][a] for a in self.subset)
 
     def project_A(self, x) -> int:
         i = self.validate_point(x)
         # Smallest index among nearest boundary points.
         return min(self.subset, key=lambda a: (self.table[i][a], a))
 
-    def cost_cell(self, x, y, p: float) -> Fraction:
-        d = self.distance(x, y)
-        if float(p).is_integer():
-            return Fraction(d) ** int(p)
-        return Fraction(d ** p)
+    def cost_matrix(self, xs, ys, p) -> tuple:
+        """At integer p the exact powers (n / d)^p = n^p / d^p of the table entries."""
+        if not float(p).is_integer():
+            return super().cost_matrix(xs, ys, p)
+        k = int(p)
+        xs, ys = self._validated(xs, ys)
 
-    def boundary_cell(self, x, p: float) -> Fraction:
-        d = self.dist_to_A(x)
-        if float(p).is_integer():
-            return Fraction(d) ** int(p)
-        return Fraction(d ** p)
+        def power(d):
+            n, q = d.as_integer_ratio()
+            return n**k, q**k
+
+        rows = [
+            [power(self._distance(x, y)) for y in ys] + [power(self._dist_to_A(x))] for x in xs
+        ]
+        rows.append([power(self._dist_to_A(y)) for y in ys] + [(0, 1)])
+        return _on_one_scale(rows)
 
     def describe(self) -> dict:
         return {

@@ -15,7 +15,7 @@ from .errors import (
     check_exponent,
 )
 from .measures import DiscreteMeasure, _canonical_atoms
-from .pairs import DEFAULT_MEMBERSHIP_TOL, MetricPair
+from .pairs import DEFAULT_MEMBERSHIP_TOL, MetricPair, as_number
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def new_plan(pair, entries, p, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -
     for src, dst, mass in entries:
         src = pair.validate_point(src)
         dst = pair.validate_point(dst)
-        mass = float(mass)
+        mass = as_number(mass)
         if not mass > 0.0:
             raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has non-positive mass {mass}")
         if pair.in_A(src, membership_tol) and pair.in_A(dst, membership_tol):

@@ -54,9 +54,8 @@ def in_S(pair, x, y, p, tol: float = 1e-9) -> bool:
 class AugmentedProblem:
     """The balanced transportation instance solved for Wb_p.
 
-    ``cost_exact`` has (len(sources) + 1) rows and (len(sinks) + 1) columns;
-    the last row/column belong to the boundary node.  ``cost`` exposes the
-    same matrix as floats.
+    ``cost_exact`` has (len(sources) + 1) rows and (len(sinks) + 1) columns
+    of Fractions; the last row/column belong to the boundary node.
     """
 
     sources: tuple  # ((point, supply), ...)
@@ -64,10 +63,6 @@ class AugmentedProblem:
     boundary_source_supply: float
     boundary_sink_demand: float
     cost_exact: tuple  # of tuples of Fractions
-
-    @property
-    def cost(self) -> tuple:
-        return tuple(tuple(float(c) for c in row) for row in self.cost_exact)
 
 
 @dataclass(frozen=True)
@@ -110,21 +105,16 @@ def build_augmented_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Augm
     """Assemble the boundary-augmented cost matrix and side masses."""
     _require_same_pair(mu, nu)
     p = check_exponent(p)
-    pair = mu.pair
-    rows = []
-    for x, _ in mu.atoms:
-        row = [pair.cost_cell(x, y, p) for y, _ in nu.atoms]
-        row.append(pair.boundary_cell(x, p))
-        rows.append(tuple(row))
-    last = [pair.boundary_cell(y, p) for y, _ in nu.atoms]
-    last.append(Fraction(0))
-    rows.append(tuple(last))
+    cells, scale = mu.pair.cost_matrix([x for x, _ in mu.atoms], [y for y, _ in nu.atoms], p)
     return AugmentedProblem(
         sources=mu.atoms,
         sinks=nu.atoms,
         boundary_source_supply=nu.total_mass,
         boundary_sink_demand=mu.total_mass,
-        cost_exact=tuple(rows),
+        # Tuples of lists, not of generators: a generator's tuple starts at 10
+        # slots and is resized, so CPython's free list of its final size is
+        # filled on every free and never drawn from, and peak memory grows.
+        cost_exact=tuple([tuple([Fraction(c, scale) for c in row]) for row in cells]),
     )
 
 

@@ -146,6 +146,17 @@ def test_non_integer_point_index_exits_1(tmp_path, capsys):
         assert "integer index" in capsys.readouterr().err
 
 
+def test_non_number_in_measure_exits_1(tmp_path, capsys):
+    good = tmp_path / "good.measure"
+    good.write_text(json.dumps({"pair": {"kind": "half_plane"}, "atoms": [{"point": [0, 2], "mass": 1.0}]}))
+    assert main(["dist", str(good), str(good)]) == 0
+    for k, atom in enumerate(({"point": [True, 2], "mass": 1.0}, {"point": [0, 2], "mass": "1.5"})):
+        bad = tmp_path / f"bad{k}.measure"
+        bad.write_text(json.dumps({"pair": {"kind": "half_plane"}, "atoms": [atom]}))
+        assert main(["dist", str(bad), str(good)]) == 1
+        assert capsys.readouterr().err
+
+
 def test_pair_mismatch_exit_code(tmp_path, capsys):
     from partialot import EuclideanBoxPair
 

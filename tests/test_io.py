@@ -130,6 +130,65 @@ def test_measure_index_must_be_an_integer(tmp_path, point):
         pot_io.load_measure(path)
 
 
+BOX_DESC = {"kind": "euclidean_box", "lo": [0, 0], "hi": [4, 4]}
+
+
+@pytest.mark.parametrize(
+    "pair, atom",
+    [
+        ({"kind": "half_plane"}, {"point": [True, 2], "mass": 1.0}),
+        ({"kind": "half_plane"}, {"point": ["1", "3"], "mass": 1.0}),
+        ({"kind": "half_plane"}, {"point": "13", "mass": 1.0}),
+        ({"kind": "half_plane"}, {"point": [0, 2], "mass": "1.5"}),
+        ({"kind": "half_plane"}, {"point": [0, 2], "mass": True}),
+        ({"kind": "half_plane"}, {"point": [0, 2], "mass": None}),
+        ({**BOX_DESC, "lo": [False, "0"]}, {"point": [1, 1], "mass": 1.0}),
+        ({**BOX_DESC, "hi": [4, True]}, {"point": [1, 0.5], "mass": 1.0}),
+        ({**BOX_DESC, "lo": "00"}, {"point": [1, 1], "mass": 1.0}),
+        ({**FINITE_DESC, "A": [True]}, {"point": 2, "mass": 1.0}),
+        ({**FINITE_DESC, "A": [0.0]}, {"point": 2, "mass": 1.0}),
+        ({**FINITE_DESC, "dist": [[0, 2, 3], [2, 0, "1"], [3, 1, 0]]}, {"point": 2, "mass": 1.0}),
+        ({**FINITE_DESC, "dist": [[False, 2, 3], [2, 0, 1], [3, 1, 0]]}, {"point": 2, "mass": 1.0}),
+    ],
+)
+def test_measure_numbers_must_be_numbers(tmp_path, pair, atom):
+    path = tmp_path / "n.measure"
+    path.write_text(json.dumps({"pair": pair, "atoms": [atom]}))
+    with pytest.raises(MalformedFileError):
+        pot_io.load_measure(path)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"p": "2"},
+        {"p": True},
+        {"entries": [{"src": [0, 1], "dst": [0, 2], "mass": "1"}]},
+        {"entries": [{"src": [0, 1], "dst": [0, True], "mass": 1.0}]},
+        {"duals": {"sources": [[[0, 1], "0.5"]], "sinks": []}},
+    ],
+)
+def test_plan_numbers_must_be_numbers(tmp_path, patch):
+    record = {
+        "pair": {"kind": "half_plane"},
+        "p": 2,
+        "entries": [{"src": [0, 1], "dst": [0, 2], "mass": 1.0}],
+        **patch,
+    }
+    path = tmp_path / "n.plan"
+    path.write_text(json.dumps(record))
+    with pytest.raises(MalformedFileError):
+        pot_io.load_plan(path)
+
+
+def test_numeric_types_still_load(tmp_path):
+    path = tmp_path / "ok.measure"
+    path.write_text(
+        json.dumps({"pair": BOX_DESC, "atoms": [{"point": [1, 2.5], "mass": 2}]})
+    )
+    assert pot_io.load_measure(path).atoms == (((1.0, 2.5), 2.0),)
+
+
 @pytest.mark.parametrize("point", [1.5, True])
 def test_plan_index_must_be_an_integer(tmp_path, point):
     path = tmp_path / "f.plan"

@@ -2,11 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from partialot import (
     EuclideanBoxPair,
+    FinitePair,
     HalfPlanePair,
     PairMismatchError,
     build_augmented_problem,
@@ -59,10 +61,7 @@ def test_build_augmented_problem_example():
     mu = new_measure(HP, [((0, 1), 1.0)])
     nu = new_measure(HP, [((0, 3), 1.0)])
     prob = build_augmented_problem(mu, nu, 2)
-    expected = ((4.0, 0.5), (4.5, 0.0))
-    for row, want in zip(prob.cost, expected):
-        for got, w in zip(row, want):
-            assert got == pytest.approx(w, rel=1e-14)
+    assert prob.cost_exact == ((Fraction(4), Fraction(1, 2)), (Fraction(9, 2), Fraction(0)))
     assert prob.boundary_source_supply == 1.0
     assert prob.boundary_sink_demand == 1.0
 
@@ -70,10 +69,84 @@ def test_build_augmented_problem_example():
 def test_build_augmented_degenerate():
     z = zero_measure(HP)
     prob = build_augmented_problem(z, z, 2)
-    assert prob.cost == ((0.0,),)
+    assert prob.cost_exact == ((Fraction(0),),)
     mu = new_measure(HP, [((0, 2), 2.0)])
     prob2 = build_augmented_problem(mu, z, 2)
-    assert prob2.cost[0][0] == pytest.approx(2.0, rel=1e-14)
+    assert prob2.cost_exact == ((Fraction(2),), (Fraction(0),))
+
+
+def _reference_cells(pair, xs, ys, p):
+    """The augmented matrix from per-cell Fraction formulas, one cell at a time."""
+
+    def exact_power(d):
+        return Fraction(d) ** int(p) if float(p).is_integer() else Fraction(d**p)
+
+    def direct(x, y):
+        if isinstance(pair, FinitePair):
+            return exact_power(pair.distance(x, y))
+        if p == 2:
+            return sum(((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y)), Fraction(0))
+        return Fraction(pair.distance(x, y) ** p)
+
+    def boundary(x):
+        if isinstance(pair, FinitePair):
+            return exact_power(pair.dist_to_A(x))
+        if p != 2:
+            return Fraction(pair.dist_to_A(x) ** p)
+        if isinstance(pair, HalfPlanePair):
+            return max(Fraction(0), Fraction(x[1]) - Fraction(x[0])) ** 2 / 2
+        gaps = [Fraction(c) - Fraction(l) for c, l in zip(x, pair.lo)]
+        gaps += [Fraction(h) - Fraction(c) for c, h in zip(x, pair.hi)]
+        return max(Fraction(0), min(gaps)) ** 2
+
+    rows = [tuple(direct(x, y) for y in ys) + (boundary(x),) for x in xs]
+    return tuple(rows) + (tuple(boundary(y) for y in ys) + (Fraction(0),),)
+
+
+#: Points per pair, on coordinates from 1e-8 to 1e150 and one subnormal
+#: (5e-324); the largest are used only where d^p stays a finite float.
+_WIDE = {
+    "half_plane": (
+        HP,
+        [(0.0, 1e-8 + 1e-7), (5e-324, 1.0), (-3.25, 0.1), (1e-8, 2.5), (7.0, 1e100)],
+        [(0.5, 3.0), (5e-324, 0.75), (-1e-8, 1e-3), (1e50, 1e100 + 1e90), (-2.0, 1e150)],
+    ),
+    "box": (
+        EuclideanBoxPair((-1.5, 0.1), (1e150, 7.25)),
+        [(5e-324, 1.0), (-1.25, 0.2), (1e-8, 3.5), (1e100, 5.0)],
+        [(0.75, 0.3), (-1.0, 7.0), (1e150 / 2, 2.0)],
+    ),
+    "finite": (
+        FinitePair(((0, 1e-8, 2.5), (1e-8, 0, 2.5), (2.5, 2.5, 0)), frozenset({0})),
+        [1, 2],
+        [2, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3])
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_cost_matrix_matches_per_cell_fractions(kind, p):
+    pair, xs, ys = _WIDE[kind]
+    if p > 2:  # keep d^p below the float range: 1e150^2.5 overflows
+        xs = [x for x in xs if isinstance(x, int) or max(x) < 1e120]
+        ys = [y for y in ys if isinstance(y, int) or max(y) < 1e120]
+    for m, n in ((len(xs), len(ys)), (0, len(ys)), (len(xs), 0), (0, 0)):
+        mu = new_measure(pair, [(x, 1.0) for x in xs[:m]])
+        nu = new_measure(pair, [(y, 0.5) for y in ys[:n]])
+        got = build_augmented_problem(mu, nu, p).cost_exact
+        want = _reference_cells(pair, [x for x, _ in mu.atoms], [y for y, _ in nu.atoms], p)
+        assert got == want
+        assert all(type(c) is Fraction for row in got for c in row)
+    x, y = xs[0], ys[-1]
+    assert pair.cost_cell(x, y, p) == _reference_cells(pair, [x], [y], p)[0][0]
+    assert pair.boundary_cell(x, p) == _reference_cells(pair, [x], [], p)[0][0]
+
+
+def test_cost_matrix_overflow_is_reported_as_before():
+    mu = new_measure(HP, [((-2.0, 1e150), 1.0)])
+    with pytest.raises(OverflowError):
+        build_augmented_problem(mu, mu, 2.5)
 
 
 def test_solve_direct_vs_boundary_branch():
