@@ -5,15 +5,19 @@ transport: support inside the set S where the direct cost equals the
 reduced cost, reduced-cost cyclical monotonicity of the support augmented
 with a virtual boundary pair, existence of feasible complementary-slack
 dual potentials vanishing on A, and nearest-point boundary shipping.  A
-final cross-check re-solves the instance and compares costs.
+final check bounds the optimum from below by weak duality, in exact integer
+arithmetic, and compares the plan's cost with that bound; nothing is
+re-solved.
 
 All tolerances are applied in absolute-plus-relative form: a comparison
 fails when the raw violation exceeds ``tol * (1 + magnitude)``.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import ge, le, mul, sub
 
 from .errors import (
     InadmissiblePlanError,
@@ -22,8 +26,7 @@ from .errors import (
     check_exponent,
 )
 from .measures import DiscreteMeasure
-from .plans import TransportPlan, cost as plan_cost, decompose, marginals
-from . import solver
+from .plans import TransportPlan, decompose, marginals
 
 #: Plans with at most this many entries get exhaustive subset enumeration in
 #: the cyclical-monotonicity check; larger plans are sampled.
@@ -40,7 +43,7 @@ class CertificateReport:
     cyclically_monotone_up_to: dict  # cycle length k -> bool
     potentials_valid: bool
     boundary_shipping: bool
-    cost_optimal: bool  # plan cost matches an independent re-solve
+    cost_optimal: bool  # plan cost within tol of an exact weak-duality lower bound
     worst_violation: float
 
     def all_passed(self) -> bool:
@@ -57,15 +60,24 @@ def _scaled(violation: float, magnitude: float) -> float:
     return violation / (1.0 + abs(magnitude))
 
 
+def _validated(pair, entries) -> list:
+    """Plan entries with both endpoints validated once, for the pair's own formulas.
+
+    ``pair._distance`` and ``pair._dist_to_A`` are what ``distance`` and
+    ``dist_to_A`` compute after validating, so every float stays the same.
+    """
+    return [(pair.validate_point(x), pair.validate_point(y), m) for x, y, m in entries]
+
+
 def concentration_violation(plan: TransportPlan, p) -> float:
     """Worst scaled gap c - c_tilde over interior entries (0 when empty)."""
     p = check_exponent(p)
     pair = plan.pair
     interior, _, _ = decompose(plan)
     worst = 0.0
-    for x, y, _ in interior.entries:
-        direct = solver.cost_c(pair, x, y, p)
-        reduced = solver.cost_ctilde(pair, x, y, p)
+    for x, y, _ in _validated(pair, interior.entries):
+        direct = pair._distance(x, y) ** p
+        reduced = min(direct, pair._dist_to_A(x) ** p + pair._dist_to_A(y) ** p)
         worst = max(worst, _scaled(direct - reduced, reduced))
     return worst
 
@@ -86,23 +98,50 @@ def _virtual_cost_matrix(plan: TransportPlan, p):
     support together with A x A.
     """
     pair = plan.pair
-    entries = plan.entries
+    entries = _validated(pair, plan.entries)
     n = len(entries)
-    row_boundary = [pair.dist_to_A(x) ** p for x, _, _ in entries]
-    col_boundary = [pair.dist_to_A(y) ** p for _, y, _ in entries]
+    row_boundary = [pair._dist_to_A(x) ** p for x, _, _ in entries]
+    col_boundary = [pair._dist_to_A(y) ** p for _, y, _ in entries]
     size = n + 1
     matrix = [[0.0] * size for _ in range(size)]
     for a, (xa, ya, _) in enumerate(entries):
         for b, (_, yb, _) in enumerate(entries):
             if a == b:
-                matrix[a][b] = pair.distance(xa, ya) ** p
+                matrix[a][b] = pair._distance(xa, ya) ** p
             else:
                 matrix[a][b] = min(
-                    pair.distance(xa, yb) ** p, row_boundary[a] + col_boundary[b]
+                    pair._distance(xa, yb) ** p, row_boundary[a] + col_boundary[b]
                 )
         matrix[a][n] = row_boundary[a]
         matrix[n][a] = col_boundary[a]
     return matrix
+
+
+def _lowest_total(matrix, subset) -> float:
+    """Lowest total cost over the reassignments of subset that the search tries.
+
+    All permutations for up to 4 pairs, those keeping the first pair's
+    target beyond.  Each total is summed left to right over the subset's
+    rows; the cells are non-negative, so leaving out the leading 0.0 of a
+    running sum changes no bit.
+    """
+    rows = [matrix[a] for a in subset]
+    if len(subset) == 2:
+        r0, r1 = rows
+        return min([r0[a] + r1[b] for a, b in permutations(subset)])
+    if len(subset) == 3:
+        r0, r1, r2 = rows
+        return min([r0[a] + r1[b] + r2[c] for a, b, c in permutations(subset)])
+    if len(subset) == 4:
+        r0, r1, r2, r3 = rows
+        return min([r0[a] + r1[b] + r2[c] + r3[d] for a, b, c, d in permutations(subset)])
+    low = math.inf
+    for rest in permutations(subset[1:]):
+        total = 0.0
+        for row, b in zip(rows, (subset[0],) + rest):
+            total += row[b]
+        low = min(low, total)
+    return low
 
 
 def cyclical_monotonicity_violation(
@@ -138,21 +177,12 @@ def cyclical_monotonicity_violation(
             subsets = combinations(range(n_items), k)
         else:
             pool = range(n_items)
-            subsets = (tuple(sorted(rng.sample(pool, k))) for _ in range(samples))
+            subsets = (sorted(rng.sample(pool, k)) for _ in range(samples))
         for subset in subsets:
             base = sum(matrix[a][a] for a in subset)
-            if k <= 4:
-                reassignments = permutations(subset)
-            else:
-                rest = subset[1:]
-                reassignments = (
-                    (subset[0],) + shifted for shifted in permutations(rest)
-                )
-            for sigma in reassignments:
-                total = 0.0
-                for a, b in zip(subset, sigma):
-                    total += matrix[a][b]
-                worst_k = max(worst_k, _scaled(base - total, base))
+            # Rounded subtraction and division by 1 + |base| are monotone, so
+            # the lowest total gives the worst scaled improvement, bit for bit.
+            worst_k = max(worst_k, _scaled(base - _lowest_total(matrix, subset), base))
         worst[k] = worst_k
     return worst
 
@@ -180,27 +210,29 @@ def potentials_violation(plan: TransportPlan, duals, p) -> float:
     for pt, _ in nu.atoms:
         if pt not in duals.psi:
             raise MissingPotentialError(f"no sink potential for atom {pt!r}")
+    sources = [(pair.validate_point(x), duals.phi[x]) for x, _ in mu.atoms]
+    sinks = [(pair.validate_point(y), duals.psi[y]) for y, _ in nu.atoms]
 
     worst = 0.0
-    for x, _ in mu.atoms:
-        bc = pair.dist_to_A(x) ** p
-        worst = max(worst, _scaled(duals.phi[x] - bc, bc))
-        for y, _ in nu.atoms:
-            c = pair.distance(x, y) ** p
-            worst = max(worst, _scaled(duals.phi[x] + duals.psi[y] - c, c))
-    for y, _ in nu.atoms:
-        bc = pair.dist_to_A(y) ** p
-        worst = max(worst, _scaled(duals.psi[y] - bc, bc))
+    for x, phi in sources:
+        bc = pair._dist_to_A(x) ** p
+        worst = max(worst, _scaled(phi - bc, bc))
+        for y, psi in sinks:
+            c = pair._distance(x, y) ** p
+            worst = max(worst, _scaled(phi + psi - c, c))
+    for y, psi in sinks:
+        bc = pair._dist_to_A(y) ** p
+        worst = max(worst, _scaled(psi - bc, bc))
 
     interior, outgoing, incoming = decompose(plan)
-    for x, y, _ in interior.entries:
-        c = pair.distance(x, y) ** p
+    for x, y, _ in _validated(pair, interior.entries):
+        c = pair._distance(x, y) ** p
         worst = max(worst, _scaled(abs(duals.phi[x] + duals.psi[y] - c), c))
-    for x, a, _ in outgoing.entries:
-        c = pair.distance(x, a) ** p
+    for x, a, _ in _validated(pair, outgoing.entries):
+        c = pair._distance(x, a) ** p
         worst = max(worst, _scaled(abs(duals.phi[x] - c), c))
-    for a, y, _ in incoming.entries:
-        c = pair.distance(a, y) ** p
+    for a, y, _ in _validated(pair, incoming.entries):
+        c = pair._distance(a, y) ** p
         worst = max(worst, _scaled(abs(duals.psi[y] - c), c))
     return worst
 
@@ -215,18 +247,142 @@ def boundary_shipping_violation(plan: TransportPlan) -> float:
     pair = plan.pair
     _, outgoing, incoming = decompose(plan)
     worst = 0.0
-    for x, a, _ in outgoing.entries:
-        d = pair.dist_to_A(x)
-        worst = max(worst, _scaled(abs(pair.distance(x, a) - d), d))
-    for a, y, _ in incoming.entries:
-        d = pair.dist_to_A(y)
-        worst = max(worst, _scaled(abs(pair.distance(a, y) - d), d))
+    for x, a, _ in _validated(pair, outgoing.entries):
+        d = pair._dist_to_A(x)
+        worst = max(worst, _scaled(abs(pair._distance(x, a) - d), d))
+    for a, y, _ in _validated(pair, incoming.entries):
+        d = pair._dist_to_A(y)
+        worst = max(worst, _scaled(abs(pair._distance(a, y) - d), d))
     return worst
 
 
 def check_boundary_shipping(plan: TransportPlan, tol: float = 1e-9) -> bool:
     """True iff all boundary entries ship to/from nearest boundary points."""
     return boundary_shipping_violation(plan) <= tol
+
+
+def _dyadic(values, bits: int = 0) -> tuple:
+    """Finite floats as ints over one power of two: (ints, k), value = int / 2^k, k >= bits."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    k = max([bits] + [d.bit_length() - 1 for _, d in ratios])
+    return [n << (k + 1 - d.bit_length()) for n, d in ratios], k
+
+
+def _rounded_up(num: int, den: int) -> float:
+    """The least float not below num / den, for den > 0."""
+    try:
+        q = num / den
+    except OverflowError:
+        return math.copysign(math.inf, num)
+    a, b = q.as_integer_ratio()
+    return math.nextafter(q, math.inf) if a * den < num * b else q
+
+
+def _tight_potentials(cells, phi, psi, ulps, support):
+    """Exact potentials within one ulp of phi and psi, feasible and tight on support, or None.
+
+    ``cells`` is the augmented matrix (last row and column for A, where the
+    potentials are 0), ``ulps`` the ulp of each potential, ``support`` the
+    cells carrying flow; all are ints on one scale.  Float rounding moves
+    exact potentials by less than an ulp, so a plan certified by exact
+    potentials has them in this box.  Labels only move towards feasibility
+    (phi down from its upper bound, psi up from its lower bound), which
+    finds the box's solution if one exists; that is shortest paths over the
+    difference constraints, settled within one pass per variable unless
+    a negative cycle shows that the plan is not optimal.
+    """
+    m, n = len(phi), len(psi)
+    lo_phi = [f - u for f, u in zip(phi, ulps)]
+    hi_psi = [min(g + u, c) for g, u, c in zip(psi, ulps[m:], cells[m])]
+    phi = [min(f + u, row[n]) for f, u, row in zip(phi, ulps, cells)]
+    psi = [g - u for g, u in zip(psi, ulps[m:])]
+    interior = []
+    for i, j in support:
+        if i < m and j < n:
+            interior.append((i, j))
+        elif i < m:
+            lo_phi[i] = max(lo_phi[i], cells[i][n])
+        elif j < n:
+            psi[j] = max(psi[j], cells[m][j])
+    for _ in range(m + n + 1):
+        changed = False
+        for i, row in enumerate(cells[:m]):
+            low = min(map(sub, row, psi), default=phi[i])
+            if low < phi[i]:
+                phi[i], changed = low, True
+        for i, j in interior:
+            need = cells[i][j] - phi[i]
+            if need > psi[j]:
+                psi[j], changed = need, True
+        if not changed:
+            break
+    else:
+        return None
+    if all(map(ge, phi, lo_phi)) and all(map(le, psi, hi_psi)):
+        return phi, psi
+    return None
+
+
+def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
+    """Scaled gap between the plan's cost and a weak-duality bound on its optimum.
+
+    The plan is read as a flow on the boundary-augmented problem of its own
+    marginals, over the cells of ``pair.cost_matrix``: interior entries use
+    cell (i, j), entries leaving Omega cell (i, A), entries entering it cell
+    (A, j).  Its cost is P.  The potentials give the bound D: exact
+    potentials within one ulp of the given ones that are feasible and tight
+    on the plan's support, when they exist, and then D = P; otherwise the
+    given potentials made feasible, each phi_i lowered by the largest
+    violation of phi_i + psi_j <= c_ij and phi_i <= c_iA in its row and each
+    psi_j capped at c_Aj.  Returns (P - D) / (1 + max(D, 0)), exact and
+    rounded up, so a value <= tol proves that P exceeds the optimum for the
+    plan's marginals by at most tol * (1 + optimum); whether those match
+    the prescribed measures is checked apart.  Every float is dyadic, so
+    all of this is integer arithmetic over powers of two.  A potential
+    missing for an atom counts as 0; a non-finite one makes the gap
+    infinite.
+    """
+    p = check_exponent(p)
+    pair = plan.pair
+    got_mu, got_nu = marginals(plan)
+    xs = [x for x, _ in got_mu.atoms]
+    ys = [y for y, _ in got_nu.atoms]
+    m, n = len(xs), len(ys)
+    phi = [duals.phi.get(x, 0.0) for x in xs]
+    psi = [duals.psi.get(y, 0.0) for y in ys]
+    if not all(math.isfinite(v) for v in phi + psi):
+        return math.inf
+
+    cells, scale = pair.cost_matrix(xs, ys, p)
+    values, bits = _dyadic(
+        phi + psi + [math.ulp(v) for v in phi + psi], scale.bit_length() - 1
+    )
+    phi, psi, ulps = values[:m], values[m : m + n], values[m + n :]
+    shift = bits - (scale.bit_length() - 1)
+    cells = [[c << shift for c in row] for row in cells]
+    masses, mass_bits = _dyadic([mass for _, _, mass in plan.entries])
+
+    row_of = {x: i for i, x in enumerate(xs)}
+    col_of = {y: j for j, y in enumerate(ys)}
+    support = [(row_of.get(x, m), col_of.get(y, n)) for x, y, _ in plan.entries]
+    cost = 0
+    row_flow, col_flow = [0] * (m + 1), [0] * (n + 1)
+    for (i, j), mass in zip(support, masses):
+        cost += mass * cells[i][j]
+        row_flow[i] += mass
+        col_flow[j] += mass
+
+    tight = _tight_potentials(cells, phi, psi, ulps, support)
+    if tight is not None:
+        phi, psi = tight
+    else:
+        phi = [
+            f - max([0, f - row[n]] + [f + g - c for g, c in zip(psi, row)])
+            for f, row in zip(phi, cells)
+        ]
+        psi = [min(g, c) for g, c in zip(psi, cells[m])]
+    bound = sum(map(mul, row_flow, phi)) + sum(map(mul, col_flow, psi))
+    return _rounded_up(cost - bound, (1 << (bits + mass_bits)) + max(bound, 0))
 
 
 def _marginals_match(got: DiscreteMeasure, want: DiscreteMeasure, mass_tol: float) -> bool:
@@ -253,8 +409,9 @@ def certify_optimal(
     """Run all optimality checks against the prescribed marginals.
 
     Raises :class:`InadmissiblePlanError` when the plan's marginals do not
-    match mu and nu; otherwise returns the aggregated report, including an
-    independent re-solve cost comparison.
+    match mu and nu; otherwise returns the aggregated report, including the
+    exact duality-gap bound on the plan's cost (see
+    :func:`duality_gap_violation`).  No solver is called.
     """
     p = check_exponent(p)
     if plan.pair != mu.pair or plan.pair != nu.pair:
@@ -267,16 +424,13 @@ def certify_optimal(
     mono = cyclical_monotonicity_violation(plan, p, k_max)
     pots = potentials_violation(plan, duals, p)
     ship = boundary_shipping_violation(plan)
-
-    c = plan_cost(plan, p)
-    resolved = solver.wb_distance(mu, nu, p) ** p
-    cost_gap = _scaled(c - resolved, resolved)
+    gap = duality_gap_violation(plan, duals, p)
 
     return CertificateReport(
         concentrated_on_S=conc <= tol,
         cyclically_monotone_up_to={k: w <= tol for k, w in mono.items()},
         potentials_valid=pots <= tol,
         boundary_shipping=ship <= tol,
-        cost_optimal=cost_gap <= tol,
-        worst_violation=max(conc, max(mono.values(), default=0.0), pots, ship, cost_gap),
+        cost_optimal=gap <= tol,
+        worst_violation=max(conc, max(mono.values(), default=0.0), pots, ship, gap),
     )

@@ -119,7 +119,7 @@ def _cmd_certify(args) -> int:
         ),
         f"potentials             {'pass' if report.potentials_valid else 'FAIL'}",
         f"boundary-shipping      {'pass' if report.boundary_shipping else 'FAIL'}",
-        f"cost-vs-resolve        {'pass' if report.cost_optimal else 'FAIL'}",
+        f"duality-gap            {'pass' if report.cost_optimal else 'FAIL'}",
         f"worst violation {report.worst_violation:.3e}",
         "certificate PASSED" if report.all_passed() else "certificate FAILED",
     ]

@@ -78,7 +78,7 @@ def save_pair(pair, path):
 
 def load_measure(path, default_pair=None) -> DiscreteMeasure:
     data = _read_json(path)
-    if not isinstance(data, dict) or "atoms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise MalformedFileError(f"{path}: measure file must contain an 'atoms' list")
     pair = _resolve_pair(data.get("pair"), path, default_pair)
     atoms = []
@@ -105,7 +105,7 @@ def save_measure(mu: DiscreteMeasure, path):
 
 def load_diagram(path, default_pair=None) -> PersistenceDiagram:
     data = _read_json(path)
-    if not isinstance(data, dict) or "points" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise MalformedFileError(f"{path}: diagram file must contain a 'points' list")
     pair = data.get("pair")
     pair = _resolve_pair(pair, path, default_pair) if pair is not None else default_pair
@@ -129,8 +129,8 @@ def save_diagram(sigma: PersistenceDiagram, path):
 def load_plan(path, default_pair=None):
     """Load (plan, duals); duals is None when the file has none."""
     data = _read_json(path)
-    if not isinstance(data, dict) or "entries" not in data or "p" not in data:
-        raise MalformedFileError(f"{path}: plan file must contain 'entries' and 'p'")
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list) or "p" not in data:
+        raise MalformedFileError(f"{path}: plan file must contain an 'entries' list and 'p'")
     pair = _resolve_pair(data.get("pair"), path, default_pair)
     entries = []
     for k, rec in enumerate(data["entries"]):

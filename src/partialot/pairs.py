@@ -429,9 +429,15 @@ def pair_from_description(desc: dict) -> MetricPair:
             return EuclideanBoxPair(tuple(desc["lo"]), tuple(desc["hi"]))
         except KeyError as exc:
             raise ValueError(f"euclidean_box description missing {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"euclidean_box corners must be lists of numbers: {exc}") from exc
     if kind == "finite":
         try:
             return FinitePair(tuple(tuple(r) for r in desc["dist"]), frozenset(desc["A"]))
         except KeyError as exc:
             raise ValueError(f"finite description missing {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(
+                f"finite description needs a list of distance rows and a list of indices: {exc}"
+            ) from exc
     raise ValueError(f"unknown pair kind {kind!r}")

@@ -59,7 +59,10 @@ def new_plan(pair, entries, p, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -
         if pair.in_A(src, membership_tol) and pair.in_A(dst, membership_tol):
             raise ValueError(f"entry {src!r} -> {dst!r} is supported on A x A")
         merged[(src, dst)] = merged.get((src, dst), 0.0) + mass
-    canon = tuple((s, d, m) for (s, d), m in sorted(merged.items()))
+    # A tuple of a list, not of a generator: a generator's tuple is resized
+    # to fit, so each freed plan fills a CPython tuple free list that nothing
+    # draws from, and peak memory grows.
+    canon = tuple([(s, d, m) for (s, d), m in sorted(merged.items())])
     return TransportPlan(pair, canon, p)
 
 
@@ -206,8 +209,9 @@ def _project(glued: GluedPlan, first: int, last: int, membership_tol: float):
             diag[a] = diag.get(a, 0.0) + m
         else:
             kept[(a, b)] = kept.get((a, b), 0.0) + m
+    # A tuple of a list, as in new_plan.
     plan = TransportPlan(
-        pair, tuple((s, d, m) for (s, d), m in sorted(kept.items())), glued.p
+        pair, tuple([(s, d, m) for (s, d), m in sorted(kept.items())]), glued.p
     )
     return plan, tuple(sorted(diag.items()))
 

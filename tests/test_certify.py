@@ -1,11 +1,16 @@
 """Tests for the optimality certificates."""
 
+import math
 import random
+from itertools import combinations, permutations
 
 import pytest
 
+import partialot.solver
 from partialot import (
     DualPotentials,
+    EuclideanBoxPair,
+    FinitePair,
     HalfPlanePair,
     InadmissiblePlanError,
     MissingPotentialError,
@@ -19,9 +24,24 @@ from partialot import (
     solve,
     zero_measure,
 )
-from partialot.certify import cyclical_monotonicity_violation
+from partialot.certify import (
+    SAMPLED_SUBSETS_PER_SIZE,
+    cyclical_monotonicity_violation,
+    duality_gap_violation,
+)
+from partialot.plans import cost as plan_cost
 
 HP = HalfPlanePair()
+BOX = EuclideanBoxPair((0, 0), (4, 4))
+# Manhattan distances between integer points of the plane: exact, so every
+# triangle inequality holds.
+_GRID = [
+    (0, 0), (7, 1), (3, 5), (9, 9), (1, 8), (5, 2), (8, 4), (2, 3), (6, 7), (4, 9), (10, 0), (0, 10)
+]
+FIN = FinitePair(
+    tuple(tuple(float(abs(a - c) + abs(b - d)) for c, d in _GRID) for a, b in _GRID),
+    frozenset({10, 11}),
+)
 
 
 def test_concentrated_on_S_examples():
@@ -190,3 +210,169 @@ def test_sensitivity_to_perturbation():
             rejected += 1
     assert tried > 0
     assert rejected >= 0.95 * tried
+
+
+def _reference_monotonicity(plan, p, k_max, seed=0, samples=SAMPLED_SUBSETS_PER_SIZE):
+    """The search as first written: pair.distance per cell, one scaled value per reassignment."""
+    pair = plan.pair
+    p = float(p)
+    entries = plan.entries
+    n = len(entries)
+    row_boundary = [pair.dist_to_A(x) ** p for x, _, _ in entries]
+    col_boundary = [pair.dist_to_A(y) ** p for _, y, _ in entries]
+    matrix = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for a, (xa, ya, _) in enumerate(entries):
+        for b, (_, yb, _) in enumerate(entries):
+            if a == b:
+                matrix[a][b] = pair.distance(xa, ya) ** p
+            else:
+                matrix[a][b] = min(pair.distance(xa, yb) ** p, row_boundary[a] + col_boundary[b])
+        matrix[a][n] = row_boundary[a]
+        matrix[n][a] = col_boundary[a]
+    rng = random.Random(seed)
+    worst = {}
+    for k in range(2, k_max + 1):
+        worst_k = 0.0
+        if k > n + 1:
+            worst[k] = worst_k
+            continue
+        if n <= 8:
+            subsets = combinations(range(n + 1), k)
+        else:
+            subsets = (tuple(sorted(rng.sample(range(n + 1), k))) for _ in range(samples))
+        for subset in subsets:
+            base = sum(matrix[a][a] for a in subset)
+            if k <= 4:
+                reassignments = permutations(subset)
+            else:
+                reassignments = ((subset[0],) + rest for rest in permutations(subset[1:]))
+            for sigma in reassignments:
+                total = 0.0
+                for a, b in zip(subset, sigma):
+                    total += matrix[a][b]
+                worst_k = max(worst_k, (base - total) / (1.0 + abs(base)))
+        worst[k] = worst_k
+    return worst
+
+
+def _random_plan(rng, pair, size, p):
+    """A plan of random interior and boundary entries, not optimal for anything."""
+    def point():
+        if pair is HP:
+            a = rng.uniform(0, 10)
+            return (a, a + rng.uniform(0.1, 5))
+        if pair is BOX:
+            return (rng.uniform(0.1, 3.9), rng.uniform(0.1, 3.9))
+        return rng.randrange(10)
+
+    entries = []
+    while len(set(e[:2] for e in entries)) < size:
+        x, y, m = point(), point(), rng.uniform(0.1, 3)
+        kind = rng.random()
+        if kind < 0.2:
+            entries.append((x, pair.project_A(x), m))
+        elif kind < 0.4:
+            entries.append((pair.project_A(y), y, m))
+        else:
+            entries.append((x, y, m))
+    return new_plan(pair, entries, p)
+
+
+@pytest.mark.parametrize("pair", [HP, BOX, FIN], ids=["half_plane", "box", "finite"])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_cyclical_monotonicity_matches_reference_bit_for_bit(pair, p):
+    rng = random.Random(f"{pair.kind}/{p}")
+    plans = [_random_plan(rng, pair, size, p) for size in (1, 5, 8, 9, 14)]
+    if pair is HP:
+        plans += [
+            new_plan(HP, [((0, 1), (0, 2.5), 1.0), ((0, 2), (0, 1.5), 1.0)], p),
+            new_plan(HP, [((0, 1), (0, 3), 1.0)], p),
+            new_plan(HP, [((0, 1), (0, 5), 1.0)], p),
+        ]
+    assert {len(plan.entries) > 8 for plan in plans} == {False, True}
+    for plan in plans:
+        for k_max in (2, 3, 4, 5):
+            got = cyclical_monotonicity_violation(plan, p, k_max)
+            want = _reference_monotonicity(plan, p, k_max)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+    assert any(v > 0 for plan in plans for v in cyclical_monotonicity_violation(plan, p).values())
+
+
+def test_certify_optimal_calls_no_solver(monkeypatch):
+    mu = new_measure(HP, [((0, 1), 1.0), ((2, 6), 2.0)])
+    nu = new_measure(HP, [((0, 3), 1.5), ((1, 2), 0.5)])
+    solved = {p: solve(mu, nu, p) for p in (1, 1.5, 2, 3)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_optimal must not solve")
+
+    monkeypatch.setattr(partialot.solver, "solve_transportation", refuse)
+    for p, r in solved.items():
+        report = certify_optimal(mu, nu, r.plan, r.duals, p)
+        assert report.all_passed(), report
+        # Exact potentials within an ulp of the solver's floats close the gap.
+        assert duality_gap_violation(r.plan, r.duals, p) == 0.0
+
+
+def test_duality_gap_rejects_weak_feasible_potentials():
+    mu = new_measure(HP, [((0, 1), 1.0), ((2, 6), 2.0)])
+    nu = new_measure(HP, [((0, 3), 1.5)])
+    r = solve(mu, nu, 2)
+    # Zero potentials are feasible, but their objective 0 bounds nothing.
+    zeros = DualPotentials({pt: 0.0 for pt, _ in mu.atoms}, {pt: 0.0 for pt, _ in nu.atoms})
+    report = certify_optimal(mu, nu, r.plan, zeros, 2)
+    assert not report.cost_optimal
+    assert duality_gap_violation(r.plan, zeros, 2) == pytest.approx(plan_cost(r.plan, 2))
+    assert duality_gap_violation(r.plan, r.duals, 2) <= 1e-12
+
+
+def test_duality_gap_corrects_infeasible_potentials():
+    mu = new_measure(HP, [((0, 1), 1.0)])
+    nu = new_measure(HP, [((0, 3), 1.0)])
+    # Everything through the boundary costs 0.5 + 4.5 = 5, the direct match 4.
+    canonical = new_plan(HP, [((0, 1), (0.5, 0.5), 1.0), ((1.5, 1.5), (0, 3), 1.0)], 2)
+    # Slack on both boundary entries and an objective of 5, equal to the plan's
+    # cost, but phi + psi exceeds the direct cost 4 by 1.
+    inflated = DualPotentials({(0.0, 1.0): 0.5}, {(0.0, 3.0): 4.5})
+    assert 0.5 + 4.5 == pytest.approx(plan_cost(canonical, 2))
+    report = certify_optimal(mu, nu, canonical, inflated, 2)
+    assert not report.cost_optimal
+    # phi drops by 1 to -0.5, so the bound is 4 and the gap (5 - 4) / (1 + 4).
+    assert duality_gap_violation(canonical, inflated, 2) == 0.2
+
+    # With twice the sink mass, psi above its boundary cost 4.5 would lift the
+    # objective past the plan's cost 0.5 + 2 * 4.5 = 9.5; capped, it is -10 + 9.
+    nu2 = new_measure(HP, [((0, 3), 2.0)])
+    canonical2 = new_plan(HP, [((0, 1), (0.5, 0.5), 1.0), ((1.5, 1.5), (0, 3), 2.0)], 2)
+    above_A = DualPotentials({(0.0, 1.0): -10.0}, {(0.0, 3.0): 14.0})
+    assert not certify_optimal(mu, nu2, canonical2, above_A, 2).cost_optimal
+    assert duality_gap_violation(canonical2, above_A, 2) == 10.5
+
+
+def test_duality_gap_exact_when_potentials_dwarf_the_optimum():
+    # Near-identical measures far from the diagonal: the optimum is about 1e4
+    # but the potentials reach 1e13, so their float rounding alone (an ulp is
+    # about 0.002) would open a gap far above 1e-8 relative to the optimum.
+    rng = random.Random(3)
+    atoms = []
+    for _ in range(12):
+        a = rng.uniform(0, 1e5)
+        atoms.append(((a, a + rng.uniform(5e3, 5e4)), rng.uniform(0.1, 3)))
+    mu = new_measure(HP, atoms)
+    nu = new_measure(HP, [((x + rng.uniform(-10, 10), y), m) for (x, y), m in atoms])
+    for target in (mu, nu):
+        r = solve(mu, target, 3)
+        assert max(abs(v) for v in r.duals.phi.values()) > 1e12
+        assert duality_gap_violation(r.plan, r.duals, 3) == 0.0
+        assert certify_optimal(mu, target, r.plan, r.duals, 3).cost_optimal
+
+
+def test_duality_gap_non_finite_potential():
+    mu = new_measure(HP, [((0, 1), 1.0), ((2, 6), 2.0)])
+    nu = new_measure(HP, [((0, 3), 1.5)])
+    r = solve(mu, nu, 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        phi = {**r.duals.phi, (0.0, 1.0): bad}
+        duals = DualPotentials(phi, r.duals.psi)
+        assert duality_gap_violation(r.plan, duals, 2) == math.inf
+        assert not certify_optimal(mu, nu, r.plan, duals, 2).cost_optimal

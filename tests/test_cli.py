@@ -157,6 +157,25 @@ def test_non_number_in_measure_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err
 
 
+def test_malformed_shapes_exit_1(measures, tmp_path, capsys):
+    a, b = measures
+    box = tmp_path / "box.measure"
+    box.write_text(
+        json.dumps(
+            {
+                "pair": {"kind": "euclidean_box", "lo": 5, "hi": [4, 4]},
+                "atoms": [{"point": [1, 1], "mass": 1.0}],
+            }
+        )
+    )
+    plan = tmp_path / "shape.plan"
+    plan.write_text(json.dumps({"pair": {"kind": "half_plane"}, "p": 2, "entries": 5}))
+    assert main(["dist", str(box), str(box)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["certify", a, b, str(plan)]) == 1
+    assert "entries" in capsys.readouterr().err
+
+
 def test_pair_mismatch_exit_code(tmp_path, capsys):
     from partialot import EuclideanBoxPair
 

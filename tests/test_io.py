@@ -199,3 +199,25 @@ def test_plan_index_must_be_an_integer(tmp_path, point):
     )
     with pytest.raises(MalformedFileError, match="integer index"):
         pot_io.load_plan(path)
+
+
+@pytest.mark.parametrize(
+    "loader, record",
+    [
+        ("pair", {**BOX_DESC, "lo": 5}),
+        ("measure", {"pair": {**BOX_DESC, "lo": 5}, "atoms": [{"point": [1, 1], "mass": 1.0}]}),
+        ("measure", {"pair": {**BOX_DESC, "hi": 4}, "atoms": [{"point": [1, 1], "mass": 1.0}]}),
+        ("measure", {"pair": {**FINITE_DESC, "dist": 3}, "atoms": [{"point": 2, "mass": 1.0}]}),
+        ("measure", {"pair": {**FINITE_DESC, "dist": [3, 3, 3]}, "atoms": [{"point": 2, "mass": 1.0}]}),
+        ("measure", {"pair": {**FINITE_DESC, "A": 0}, "atoms": [{"point": 2, "mass": 1.0}]}),
+        ("measure", {"pair": {"kind": "half_plane"}, "atoms": 3}),
+        ("measure", {"pair": {"kind": "half_plane"}, "atoms": {"point": [0, 2], "mass": 1.0}}),
+        ("plan", {"pair": {"kind": "half_plane"}, "p": 2, "entries": 5}),
+        ("diagram", {"points": 3}),
+    ],
+)
+def test_malformed_shapes(tmp_path, loader, record):
+    path = tmp_path / f"shape.{loader}"
+    path.write_text(json.dumps(record))
+    with pytest.raises(MalformedFileError):
+        getattr(pot_io, f"load_{loader}")(path)
