@@ -76,6 +76,7 @@ from .geodesic import (
     branch_probe,
     check_constant_speed,
     curvature_comparison,
+    curvature_margins,
     geodesic_path,
     interpolate,
     interpolate_detail,

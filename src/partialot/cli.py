@@ -20,10 +20,10 @@ from .errors import (
     PairMismatchError,
     PartialOTError,
 )
-from .geodesic import geodesic_path, interpolate
+from .geodesic import curvature_margins, geodesic_path, interpolate
 from .oracle import brute_force_wb
 from .plans import cost as plan_cost
-from .solver import diagram_distance, solve, wb_distance
+from .solver import diagram_distance, solve
 
 _MISMATCH_ERRORS = (
     PairMismatchError,
@@ -97,11 +97,12 @@ def _cmd_certify(args) -> int:
         print("plan file carries no dual potentials; run `plan` to produce them", file=sys.stderr)
         return 2
     report = certify_mod.certify_optimal(mu, nu, plan, duals, args.p, tol=args.tol)
+    cost = plan_cost(plan, args.p)
     record = {
         "command": "certify",
         "p": args.p,
         "tol": args.tol,
-        "cost": plan_cost(plan, args.p),
+        "cost": cost,
         "concentrated_on_S": report.concentrated_on_S,
         "cyclically_monotone": {str(k): v for k, v in report.cyclically_monotone_up_to.items()},
         "potentials_valid": report.potentials_valid,
@@ -111,7 +112,7 @@ def _cmd_certify(args) -> int:
         "all_passed": report.all_passed(),
     }
     lines = [
-        f"cost {_fmt(plan_cost(plan, args.p))}",
+        f"cost {_fmt(cost)}",
         f"concentrated-on-S      {'pass' if report.concentrated_on_S else 'FAIL'}",
         *(
             f"cyclical-monotonicity k={k} {'pass' if ok else 'FAIL'}"
@@ -151,23 +152,15 @@ def _cmd_curvature(args) -> int:
     mu_q = pot_io.load_measure(args.measure_q)
     mu_r = pot_io.load_measure(args.measure_r)
     grid = [i / (args.grid - 1) for i in range(args.grid)]
-    path = geodesic_path(mu_q, mu_r, 2)
-    d_pq = wb_distance(mu_p, mu_q, 2) ** 2
-    d_pr = wb_distance(mu_p, mu_r, 2) ** 2
-    d_qr = wb_distance(mu_q, mu_r, 2) ** 2
-    rows = []
-    for t in grid:
-        d_pt = wb_distance(mu_p, interpolate(path, t), 2) ** 2
-        comparison = (1.0 - t) * d_pq + t * d_pr - (1.0 - t) * t * d_qr
-        rows.append((t, d_pt - comparison))
-    min_margin = min(m for _, m in rows)
+    margins = curvature_margins(mu_p, mu_q, mu_r, grid)
+    min_margin = min(margins)
     record = {
         "command": "curvature-check",
-        "grid": [t for t, _ in rows],
-        "margins": [m for _, m in rows],
+        "grid": grid,
+        "margins": margins,
         "min_margin": min_margin,
     }
-    lines = ["t,margin"] + [f"{t:.6f},{m:.12e}" for t, m in rows]
+    lines = ["t,margin"] + [f"{t:.6f},{m:.12e}" for t, m in zip(grid, margins)]
     lines.append(f"min,{min_margin:.12e}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -199,29 +192,27 @@ def _cmd_diagram_dist(args) -> int:
 
 def _cmd_self_test(args) -> int:
     results = selftest.run_all(seed=args.seed, quick=args.quick)
-    if args.format == "machine":
-        record = {
-            "command": "self-test",
-            "seed": args.seed,
-            "quick": args.quick,
-            "criteria": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "worst": r.worst,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "all_passed": all(r.passed for r in results),
-        }
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for r in results:
-            print(r.line())
-        print("self-test PASSED" if all(r.passed for r in results) else "self-test FAILED")
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    record = {
+        "command": "self-test",
+        "seed": args.seed,
+        "quick": args.quick,
+        "criteria": [
+            {
+                "number": r.number,
+                "name": r.name,
+                "passed": r.passed,
+                "worst": r.worst,
+                "detail": r.detail,
+            }
+            for r in results
+        ],
+        "all_passed": passed,
+    }
+    lines = [r.line() for r in results]
+    lines.append("self-test PASSED" if passed else "self-test FAILED")
+    _emit(args, record, lines)
+    return 0 if passed else 1
 
 
 def _build_parser() -> _Parser:
@@ -297,6 +288,10 @@ def main(argv=None) -> int:
         return 2
     except (PartialOTError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # A cost or the optimum beyond the float range.
+        print(f"error: value out of the float range: {exc}", file=sys.stderr)
         return 1
 
 

@@ -24,7 +24,7 @@ class AtomOnBoundaryError(PartialOTError):
 
 
 class NonPositiveMassError(PartialOTError):
-    """A mass or flow value must be strictly positive."""
+    """A mass or flow value must be strictly positive and finite."""
 
 
 class MarginalMismatchError(PartialOTError):

@@ -12,9 +12,8 @@ the non-branching property.
 import math
 from dataclasses import dataclass
 
-from .errors import UnsupportedPairError, check_exponent
-from .measures import DiscreteMeasure, _canonical_atoms
-from .pairs import DEFAULT_MEMBERSHIP_TOL
+from .errors import InvalidPointError, UnsupportedPairError, check_exponent
+from .measures import DiscreteMeasure, _canonical_atoms, measures_close
 from .solver import solve, solve_detail, wb_distance
 
 
@@ -41,14 +40,12 @@ def geodesic_path(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p) -> GeodesicPath
     return GeodesicPath(plan, mu0.pair, p, wb, mu0, mu1)
 
 
-def interpolate_detail(
-    path: GeodesicPath, t, membership_tol: float = DEFAULT_MEMBERSHIP_TOL
-):
+def interpolate_detail(path: GeodesicPath, t):
     """Interpolant at time t plus the mass dropped onto A.
 
-    Every plan entry contributes an atom at the segment point; atoms within
-    ``membership_tol`` of A are removed (the restriction to Omega), which
-    only happens for boundary edges near their endpoints.
+    Every plan entry contributes an atom at the segment point; atoms in A
+    (``pair.in_A``) are removed (the restriction to Omega), which only
+    happens for boundary edges near their endpoints.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -58,16 +55,16 @@ def interpolate_detail(
     dropped = 0.0
     for x, y, m in path.plan.entries:
         pt = pair.geo_point(x, y, t)
-        if pair.dist_to_A(pt) <= membership_tol:
+        if pair.in_A(pt):
             dropped += m
         else:
             kept.append((pt, m))
     return DiscreteMeasure(pair, _canonical_atoms(kept)), dropped
 
 
-def interpolate(path: GeodesicPath, t, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -> DiscreteMeasure:
+def interpolate(path: GeodesicPath, t) -> DiscreteMeasure:
     """The measure at time t along the path."""
-    measure, _ = interpolate_detail(path, t, membership_tol)
+    measure, _ = interpolate_detail(path, t)
     return measure
 
 
@@ -86,31 +83,35 @@ def check_constant_speed(path: GeodesicPath, t_grid) -> float:
     return worst
 
 
-def curvature_comparison(mu_p: DiscreteMeasure, mu_q: DiscreteMeasure, mu_r: DiscreteMeasure, t_grid) -> float:
-    """Minimum non-negative-curvature comparison margin along a geodesic.
+def curvature_margins(mu_p: DiscreteMeasure, mu_q: DiscreteMeasure, mu_r: DiscreteMeasure, t_grid) -> list:
+    """Non-negative-curvature comparison margins along a geodesic, one per t.
 
-    Builds the displacement geodesic from mu_q to mu_r and returns
+    Builds the displacement geodesic (p = 2) from mu_q to mu_r and returns,
+    for each t of ``t_grid`` in order,
 
-        min_t  Wb_2(mu_p, mu_t)^2 - [(1-t) Wb_2(mu_p, mu_q)^2
-                                     + t Wb_2(mu_p, mu_r)^2
-                                     - (1-t) t Wb_2(mu_q, mu_r)^2].
+        Wb_2(mu_p, mu_t)^2 - [(1-t) Wb_2(mu_p, mu_q)^2
+                              + t Wb_2(mu_p, mu_r)^2
+                              - (1-t) t Wb_2(mu_q, mu_r)^2].
 
     Non-negative margins witness the comparison inequality for curv >= 0.
     All distances are fresh solves, independent of the path internals.
-    Only p = 2 is meaningful here; other exponents are rejected.
     """
     path = geodesic_path(mu_q, mu_r, 2)
     d_pq = wb_distance(mu_p, mu_q, 2) ** 2
     d_pr = wb_distance(mu_p, mu_r, 2) ** 2
     d_qr = wb_distance(mu_q, mu_r, 2) ** 2
-    margin = math.inf
+    margins = []
     for t in t_grid:
         t = float(t)
-        mu_t = interpolate(path, t)
-        d_pt = wb_distance(mu_p, mu_t, 2) ** 2
+        d_pt = wb_distance(mu_p, interpolate(path, t), 2) ** 2
         comparison = (1.0 - t) * d_pq + t * d_pr - (1.0 - t) * t * d_qr
-        margin = min(margin, d_pt - comparison)
-    return margin
+        margins.append(d_pt - comparison)
+    return margins
+
+
+def curvature_comparison(mu_p: DiscreteMeasure, mu_q: DiscreteMeasure, mu_r: DiscreteMeasure, t_grid) -> float:
+    """Minimum of :func:`curvature_margins` over ``t_grid`` (inf when it is empty)."""
+    return min(curvature_margins(mu_p, mu_q, mu_r, t_grid), default=math.inf)
 
 
 def angle_at_zero(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -175,13 +176,9 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
     for x, w, m in detail.plan.entries:
         if pair.in_A(w):
             continue  # mass parked on A by t0 never reaches t = 1
-        if isinstance(x, tuple):
-            z = tuple(xc + (wc - xc) / t0 for xc, wc in zip(x, w))
-        else:
-            z = w  # finite pairs are rejected earlier; defensive
         try:
-            z = pair.validate_point(z)
-        except Exception:
+            z = pair.validate_point(tuple(xc + (wc - xc) / t0 for xc, wc in zip(x, w)))
+        except InvalidPointError:
             valid = False
             break
         if not pair.in_A(z):
@@ -189,7 +186,7 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
     endpoint_reproduced = False
     if valid:
         got = DiscreteMeasure(pair, _canonical_atoms(extended))
-        endpoint_reproduced = _measures_close(got, mu1, coord_tol=1e-8, mass_tol=1e-8)
+        endpoint_reproduced = measures_close(got, mu1, coord_tol=1e-8, mass_tol=1e-8)
 
     return BranchProbeReport(
         t0=t0,
@@ -198,19 +195,3 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
         degenerate=first.degenerate or detail.degenerate,
         dropped_mass=dropped,
     )
-
-
-def _measures_close(a: DiscreteMeasure, b: DiscreteMeasure, coord_tol: float, mass_tol: float) -> bool:
-    """Atom-for-atom comparison with coordinate slack.
-
-    Assumes atoms are separated by much more than ``coord_tol`` (generic
-    instances); pairs atoms greedily in canonical order.
-    """
-    if len(a.atoms) != len(b.atoms):
-        return False
-    for (pa, ma), (pb, mb) in zip(a.atoms, b.atoms):
-        if math.dist(pa, pb) > coord_tol:
-            return False
-        if abs(ma - mb) > mass_tol * (1.0 + max(ma, mb)):
-            return False
-    return True

@@ -13,6 +13,7 @@ the measure file.  Floats survive a JSON round trip bit-for-bit.
 """
 
 import json
+import math
 import os
 
 from .errors import MalformedFileError, PartialOTError
@@ -157,6 +158,8 @@ def load_plan(path, default_pair=None):
             psi = {_point_from_json(pt, path): as_number(val) for pt, val in raw["sinks"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: duals malformed: {exc}") from exc
+        if not all(map(math.isfinite, [*phi.values(), *psi.values()])):
+            raise MalformedFileError(f"{path}: duals malformed: a value is not finite")
         duals = DualPotentials(phi, psi)
     return plan, duals
 

@@ -7,10 +7,11 @@ construction, so measures are canonical and structurally comparable.
 diagram-distance machinery.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import AtomOnBoundaryError, NonPositiveMassError, check_exponent
-from .pairs import DEFAULT_MEMBERSHIP_TOL, HalfPlanePair, MetricPair, as_number
+from .pairs import HalfPlanePair, MetricPair, as_number
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,12 @@ def _canonical_atoms(raw) -> tuple:
     return tuple(sorted(merged.items()))
 
 
-def new_measure(pair, atoms, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -> DiscreteMeasure:
+def new_measure(pair, atoms) -> DiscreteMeasure:
     """Build a measure from (point, mass) pairs.
 
     Duplicate points are allowed and merged (multiset semantics).  Atoms with
-    non-positive mass or within ``membership_tol`` of A are rejected.  An
-    empty atom list yields the zero measure.
+    a non-positive or infinite mass, or in A (``pair.in_A``), are rejected.
+    An empty atom list yields the zero measure.
     """
     checked = []
     for pt, mass in atoms:
@@ -55,7 +56,9 @@ def new_measure(pair, atoms, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -> 
         mass = as_number(mass)
         if not mass > 0.0:
             raise NonPositiveMassError(f"atom at {pt!r} has non-positive mass {mass}")
-        if pair.dist_to_A(pt) <= membership_tol:
+        if mass == math.inf:
+            raise NonPositiveMassError(f"atom at {pt!r} has infinite mass")
+        if pair.in_A(pt):
             raise AtomOnBoundaryError(f"atom at {pt!r} lies on the boundary set A")
         checked.append((pt, mass))
     return DiscreteMeasure(pair, _canonical_atoms(checked))
@@ -101,17 +104,35 @@ class PersistenceDiagram:
         return f"PersistenceDiagram({self.pair.kind}, {self.size} points)"
 
 
-def new_diagram(points, pair=None, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -> PersistenceDiagram:
+def new_diagram(points, pair=None) -> PersistenceDiagram:
     """Build a diagram from a point multiset (half-plane pair by default)."""
     if pair is None:
         pair = HalfPlanePair()
     checked = []
     for pt in points:
         pt = pair.validate_point(pt)
-        if pair.dist_to_A(pt) <= membership_tol:
+        if pair.in_A(pt):
             raise AtomOnBoundaryError(f"diagram point {pt!r} lies on the boundary set A")
         checked.append(pt)
     return PersistenceDiagram(pair, tuple(sorted(checked)))
+
+
+def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, coord_tol: float, mass_tol: float) -> bool:
+    """Atom-for-atom comparison in canonical order.
+
+    Paired atoms may lie up to ``coord_tol`` apart (0 asks for equal points)
+    and their masses may differ by ``mass_tol`` relative to the larger one.
+    Assumes atoms are separated by much more than ``coord_tol`` (generic
+    instances), so pairing them in canonical order is the right pairing.
+    """
+    if len(a.atoms) != len(b.atoms):
+        return False
+    for (pa, ma), (pb, mb) in zip(a.atoms, b.atoms):
+        if pa != pb and a.pair._distance(pa, pb) > coord_tol:
+            return False
+        if abs(ma - mb) > mass_tol * (1.0 + max(ma, mb)):
+            return False
+    return True
 
 
 def diagram_to_measure(sigma: PersistenceDiagram) -> DiscreteMeasure:

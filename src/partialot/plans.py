@@ -6,6 +6,7 @@ marginal computations, the three-way decomposition by endpoint location,
 and the discrete gluing/composition used in the triangle inequality.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -15,7 +16,7 @@ from .errors import (
     check_exponent,
 )
 from .measures import DiscreteMeasure, _canonical_atoms
-from .pairs import DEFAULT_MEMBERSHIP_TOL, MetricPair, as_number
+from .pairs import MetricPair, as_number
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,12 @@ class TransportPlan:
         return f"TransportPlan({self.pair.kind}, {len(self.entries)} entries, p={self.p:g})"
 
 
-def new_plan(pair, entries, p, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -> TransportPlan:
+def new_plan(pair, entries, p) -> TransportPlan:
     """Build a plan from (source, target, mass) triples.
 
-    Entries with both endpoints within ``membership_tol`` of A are rejected
-    (plans live on X x X minus A x A); duplicate (source, target) pairs are
-    merged.
+    Entries with a non-positive or infinite mass, or with both endpoints in
+    A (plans live on X x X minus A x A), are rejected; duplicate (source,
+    target) pairs are merged.
     """
     p = check_exponent(p)
     merged = {}
@@ -56,7 +57,9 @@ def new_plan(pair, entries, p, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -
         mass = as_number(mass)
         if not mass > 0.0:
             raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has non-positive mass {mass}")
-        if pair.in_A(src, membership_tol) and pair.in_A(dst, membership_tol):
+        if mass == math.inf:
+            raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has infinite mass")
+        if pair.in_A(src) and pair.in_A(dst):
             raise ValueError(f"entry {src!r} -> {dst!r} is supported on A x A")
         merged[(src, dst)] = merged.get((src, dst), 0.0) + mass
     # A tuple of a list, not of a generator: a generator's tuple is resized
@@ -72,15 +75,15 @@ def cost(plan: TransportPlan, p) -> float:
     return sum(m * plan.pair.distance(s, d) ** p for s, d, m in plan.entries)
 
 
-def marginals(plan: TransportPlan, membership_tol: float = DEFAULT_MEMBERSHIP_TOL):
+def marginals(plan: TransportPlan):
     """The two Omega-restricted marginals of the plan, as measures."""
     pair = plan.pair
     mu_atoms = []
     nu_atoms = []
     for s, d, m in plan.entries:
-        if not pair.in_A(s, membership_tol):
+        if not pair.in_A(s):
             mu_atoms.append((s, m))
-        if not pair.in_A(d, membership_tol):
+        if not pair.in_A(d):
             nu_atoms.append((d, m))
     return (
         DiscreteMeasure(pair, _canonical_atoms(mu_atoms)),
@@ -88,7 +91,7 @@ def marginals(plan: TransportPlan, membership_tol: float = DEFAULT_MEMBERSHIP_TO
     )
 
 
-def decompose(plan: TransportPlan, membership_tol: float = DEFAULT_MEMBERSHIP_TOL):
+def decompose(plan: TransportPlan):
     """Split the plan into its interior, outgoing and incoming parts.
 
     Returns (interior Omega->Omega, outgoing Omega->A, incoming A->Omega);
@@ -98,8 +101,8 @@ def decompose(plan: TransportPlan, membership_tol: float = DEFAULT_MEMBERSHIP_TO
     interior, outgoing, incoming = [], [], []
     for entry in plan.entries:
         s, d, _ = entry
-        s_in = pair.in_A(s, membership_tol)
-        d_in = pair.in_A(d, membership_tol)
+        s_in = pair.in_A(s)
+        d_in = pair.in_A(d)
         if not s_in and not d_in:
             interior.append(entry)
         elif not s_in:
@@ -133,17 +136,12 @@ class GluedPlan:
         return sum(m for *_, m in self.triples)
 
 
-def glue(
-    plan12: TransportPlan,
-    plan23: TransportPlan,
-    mass_tol: float = 1e-10,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> GluedPlan:
+def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     """Glue two plans along their common middle marginal.
 
     The middle marginals (mass arriving in Omega under ``plan12``, mass
     leaving Omega under ``plan23``) must agree atom-for-atom within
-    ``mass_tol``; points are compared exactly.  At each shared middle atom
+    a relative 1e-10; points are compared exactly.  At each shared middle atom
     the incoming and outgoing masses are coupled proportionally.  Entries of
     ``plan12`` ending on A and entries of ``plan23`` starting on A become
     constant-middle triples, with matching diagonal defects.
@@ -159,13 +157,13 @@ def glue(
     defect23 = {}
 
     for s, d, m in plan12.entries:
-        if pair.in_A(d, membership_tol):
+        if pair.in_A(d):
             triples.append((s, d, d, m))
             defect23[d] = defect23.get(d, 0.0) + m
         else:
             incoming.setdefault(d, []).append((s, m))
     for s, d, m in plan23.entries:
-        if pair.in_A(s, membership_tol):
+        if pair.in_A(s):
             triples.append((s, s, d, m))
             defect12[s] = defect12.get(s, 0.0) + m
         else:
@@ -180,7 +178,7 @@ def glue(
     for y in incoming:
         m_in = sum(m for _, m in incoming[y])
         m_out = sum(m for _, m in outgoing[y])
-        if abs(m_in - m_out) > mass_tol * (1.0 + max(m_in, m_out)):
+        if abs(m_in - m_out) > 1e-10 * (1.0 + max(m_in, m_out)):
             raise MarginalMismatchError(
                 f"middle marginal mass mismatch at {y!r}: {m_in} vs {m_out}"
             )
@@ -197,14 +195,14 @@ def glue(
     )
 
 
-def _project(glued: GluedPlan, first: int, last: int, membership_tol: float):
+def _project(glued: GluedPlan, first: int, last: int):
     pair = glued.pair
     kept = {}
     diag = {}
     for triple in glued.triples:
         a, b = triple[first], triple[last]
         m = triple[3]
-        if pair.in_A(a, membership_tol) and pair.in_A(b, membership_tol):
+        if pair.in_A(a) and pair.in_A(b):
             # Pairs landing in A x A sit on the diagonal by construction.
             diag[a] = diag.get(a, 0.0) + m
         else:
@@ -216,22 +214,22 @@ def _project(glued: GluedPlan, first: int, last: int, membership_tol: float):
     return plan, tuple(sorted(diag.items()))
 
 
-def projection_12(glued: GluedPlan, membership_tol: float = DEFAULT_MEMBERSHIP_TOL):
+def projection_12(glued: GluedPlan):
     """(1,2)-projection split into a plan part and the A x A diagonal part."""
-    return _project(glued, 0, 1, membership_tol)
+    return _project(glued, 0, 1)
 
 
-def projection_23(glued: GluedPlan, membership_tol: float = DEFAULT_MEMBERSHIP_TOL):
+def projection_23(glued: GluedPlan):
     """(2,3)-projection split into a plan part and the A x A diagonal part."""
-    return _project(glued, 1, 2, membership_tol)
+    return _project(glued, 1, 2)
 
 
-def compose(glued: GluedPlan, membership_tol: float = DEFAULT_MEMBERSHIP_TOL) -> TransportPlan:
+def compose(glued: GluedPlan) -> TransportPlan:
     """Project triples to their outer coordinates, dropping A x A pairs.
 
     The result is admissible between the outer marginals of the glued pair
     of plans, and its cost obeys the triangle bound used in the metric
     proof.
     """
-    plan, _ = _project(glued, 0, 2, membership_tol)
+    plan, _ = _project(glued, 0, 2)
     return plan

@@ -22,8 +22,8 @@ from .geodesic import (
     interpolate,
 )
 from .measures import (
-    DiscreteMeasure,
     diagram_to_measure,
+    measures_close,
     new_diagram,
     new_measure,
     p_energy,
@@ -269,16 +269,6 @@ def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200
     return CriterionResult(5, "optimality-certificates", ok, worst, detail, secs)
 
 
-def _recovers(got: DiscreteMeasure, want: DiscreteMeasure) -> bool:
-    """Exact atom points; masses to 1 ulp (plan masses are rounded exact flows)."""
-    if len(got.atoms) != len(want.atoms):
-        return False
-    for (pa, ma), (pb, mb) in zip(got.atoms, want.atoms):
-        if pa != pb or abs(ma - mb) > 1e-12 * (1.0 + max(ma, mb)):
-            return False
-    return True
-
-
 def criterion_geodesics(seed=DEFAULT_SEED, count=50) -> CriterionResult:
     """Constant speed, endpoint recovery and interior atoms off A."""
     def run():
@@ -295,10 +285,11 @@ def criterion_geodesics(seed=DEFAULT_SEED, count=50) -> CriterionResult:
             path = geodesic_path(mu0, mu1, p)
             violation = check_constant_speed(path, grid)
             worst = max(worst, violation / (1.0 + path.length))
-            if not _recovers(interpolate(path, 0.0), mu0) or not _recovers(
-                interpolate(path, 1.0), mu1
-            ):
-                recovery_ok = False
+            # Exact atom points; masses to about an ulp, because plan masses
+            # are rounded exact flows.
+            for t, want in ((0.0, mu0), (1.0, mu1)):
+                if not measures_close(interpolate(path, t), want, coord_tol=0.0, mass_tol=1e-12):
+                    recovery_ok = False
             for t in grid[1:-1]:
                 for x, y, _ in path.plan.entries:
                     if pair.in_A(x) or pair.in_A(y):

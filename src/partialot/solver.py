@@ -88,7 +88,6 @@ class SolveDetail(NamedTuple):
     wb: float
     plan: TransportPlan
     duals: DualPotentials
-    problem: AugmentedProblem
     degenerate: bool  # alternate optimal vertices exist (exact ties)
 
 
@@ -159,7 +158,7 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     phi = {mu.atoms[i][0]: float(u[i] + v_b) for i in range(m)}
     psi = {nu.atoms[j][0]: float(v[j] + u_b) for j in range(n)}
 
-    return SolveDetail(wb, plan, DualPotentials(phi, psi), problem, alt > 0)
+    return SolveDetail(wb, plan, DualPotentials(phi, psi), alt > 0)
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveResult:

@@ -28,6 +28,7 @@ from partialot.certify import (
     SAMPLED_SUBSETS_PER_SIZE,
     cyclical_monotonicity_violation,
     duality_gap_violation,
+    potentials_violation,
 )
 from partialot.plans import cost as plan_cost
 
@@ -376,3 +377,16 @@ def test_duality_gap_non_finite_potential():
         duals = DualPotentials(phi, r.duals.psi)
         assert duality_gap_violation(r.plan, duals, 2) == math.inf
         assert not certify_optimal(mu, nu, r.plan, duals, 2).cost_optimal
+
+
+def test_potentials_non_finite_potential():
+    mu = new_measure(HP, [((0, 1), 1.0), ((2, 6), 2.0)])
+    nu = new_measure(HP, [((0, 3), 1.5)])
+    r = solve(mu, nu, 2)
+    first = min(r.duals.phi)
+    for bad in (math.nan, math.inf, -math.inf):
+        duals = DualPotentials({**r.duals.phi, first: bad}, r.duals.psi)
+        assert potentials_violation(r.plan, duals, 2) == math.inf
+        assert not check_potentials(r.plan, duals, 2)
+        duals = DualPotentials(r.duals.phi, {y: bad for y in r.duals.psi})
+        assert potentials_violation(r.plan, duals, 2) == math.inf

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from partialot import HalfPlanePair, new_diagram, new_measure, zero_measure
+from partialot import (
+    HalfPlanePair,
+    curvature_comparison,
+    curvature_margins,
+    new_diagram,
+    new_measure,
+    zero_measure,
+)
 from partialot import io as pot_io
 from partialot.cli import main
 
@@ -111,6 +118,19 @@ def test_curvature_check_table(measures, tmp_path, capsys):
     assert all(m >= -1e-8 for m in margins)
 
 
+def test_curvature_check_machine_margins_are_the_library_margins(measures, tmp_path, capsys):
+    a, b = measures
+    c = tmp_path / "c.measure"
+    pot_io.save_measure(new_measure(HP, [((1, 4), 0.5), ((-1, 0.5), 1.5)]), c)
+    assert main(["curvature-check", "--grid", "7", "--format", "machine", a, b, str(c)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    mus = [pot_io.load_measure(path) for path in (a, b, str(c))]
+    grid = [i / 6 for i in range(7)]
+    assert record["grid"] == grid
+    assert [m.hex() for m in record["margins"]] == [m.hex() for m in curvature_margins(*mus, grid)]
+    assert record["min_margin"].hex() == curvature_comparison(*mus, grid).hex()
+
+
 def test_diagram_dist(tmp_path, capsys):
     da = tmp_path / "a.diagram"
     db = tmp_path / "b.diagram"
@@ -174,6 +194,30 @@ def test_malformed_shapes_exit_1(measures, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["certify", a, b, str(plan)]) == 1
     assert "entries" in capsys.readouterr().err
+
+
+def test_infinite_mass_exits_1(measures, tmp_path, capsys):
+    a, _ = measures
+    bad = tmp_path / "inf.measure"
+    bad.write_text('{"pair": {"kind": "half_plane"}, "atoms": [{"point": [0, 2], "mass": Infinity}]}')
+    assert main(["dist", str(bad), a]) == 1
+    assert "infinite mass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "atoms, p",
+    [
+        ([((0, 1e120), 1.0)], "3"),  # the cost d(x, A)^p
+        ([((0, 1), 1e308), ((0, 2), 1e308)], "2"),  # the optimum
+    ],
+)
+def test_float_overflow_exits_1(measures, tmp_path, capsys, atoms, p):
+    a, _ = measures
+    big = tmp_path / "big.measure"
+    pot_io.save_measure(new_measure(HP, atoms), big)
+    assert main(["dist", "--p", p, str(big), a]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_pair_mismatch_exit_code(tmp_path, capsys):

@@ -149,6 +149,7 @@ BOX_DESC = {"kind": "euclidean_box", "lo": [0, 0], "hi": [4, 4]}
         ({**FINITE_DESC, "A": [0.0]}, {"point": 2, "mass": 1.0}),
         ({**FINITE_DESC, "dist": [[0, 2, 3], [2, 0, "1"], [3, 1, 0]]}, {"point": 2, "mass": 1.0}),
         ({**FINITE_DESC, "dist": [[False, 2, 3], [2, 0, 1], [3, 1, 0]]}, {"point": 2, "mass": 1.0}),
+        ({"kind": "half_plane"}, {"point": [0, 2], "mass": float("inf")}),
     ],
 )
 def test_measure_numbers_must_be_numbers(tmp_path, pair, atom):
@@ -166,6 +167,9 @@ def test_measure_numbers_must_be_numbers(tmp_path, pair, atom):
         {"entries": [{"src": [0, 1], "dst": [0, 2], "mass": "1"}]},
         {"entries": [{"src": [0, 1], "dst": [0, True], "mass": 1.0}]},
         {"duals": {"sources": [[[0, 1], "0.5"]], "sinks": []}},
+        {"duals": {"sources": [[[0, 1], float("nan")]], "sinks": []}},
+        {"duals": {"sources": [], "sinks": [[[0, 2], float("inf")]]}},
+        {"duals": {"sources": [[[0, 1], float("-inf")]], "sinks": []}},
     ],
 )
 def test_plan_numbers_must_be_numbers(tmp_path, patch):

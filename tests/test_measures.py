@@ -33,6 +33,8 @@ def test_new_measure_rejects_bad_mass():
         new_measure(HP, [((0, 2), 0.0)])
     with pytest.raises(NonPositiveMassError):
         new_measure(HP, [((0, 2), -1.0)])
+    with pytest.raises(NonPositiveMassError, match="infinite"):
+        new_measure(HP, [((0, 2), math.inf)])
 
 
 def test_duplicate_atoms_merge():

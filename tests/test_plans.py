@@ -38,6 +38,8 @@ def test_plan_validation():
         new_plan(HP, [((1, 1), (2, 2), 1.0)], 2)
     with pytest.raises(NonPositiveMassError):
         new_plan(HP, [((0, 1), (0, 2), 0.0)], 2)
+    with pytest.raises(NonPositiveMassError, match="infinite"):
+        new_plan(HP, [((0, 1), (0, 2), float("inf"))], 2)
 
 
 def test_plan_merges_duplicate_entries():

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +301,12 @@ def test_box_pair_solve():
     # direct cost 4 vs boundary 1 + 1 = 2: boundary wins
     assert r.wb == pytest.approx(math.sqrt(2), rel=1e-12)
     assert wb_distance(mu, zero_measure(BOX), 2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["wb"] == 2.0
+    assert namespace["report"].all_passed()
