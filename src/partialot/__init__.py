@@ -7,6 +7,7 @@ curvature comparison checks, and the persistence-diagram distance d_p.
 
 from .errors import (
     AtomOnBoundaryError,
+    FloatRangeError,
     InadmissiblePlanError,
     InvalidPointError,
     MalformedFileError,

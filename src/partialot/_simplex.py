@@ -21,17 +21,27 @@ up to their common ancestor; after the pivot only the subtree cut off by the
 leaving cell is re-hung, and its potentials shift by the entering reduced
 cost.
 
-The entering cell is normally the one with the most negative reduced cost
-(ties broken by smallest row-major index); after a run of m + n consecutive
-degenerate pivots the rule switches to Bland's (first negative reduced cost
-in row-major order) until a pivot moves mass again, which rules out cycling.
-The leaving cell is always the smallest row-major index among the
-minimum-ratio candidates.  Both rules are deterministic, so the selected
-optimal vertex is reproducible.
+The first basis is the row-minimum one: rows are filled in order, each from
+its cheapest open column first (smallest index on ties), and every
+allocation closes one line (the row once its supply is used up, otherwise
+the column; the last row closes columns only and its final cell both), so
+its m + n - 1 cells form a spanning tree.
+
+The entering cell comes from a block search, as in LEMON's network simplex
+(Grigoriadis 1986; Bonneel et al. 2011): rows are scanned cyclically from
+where the previous search stopped, in blocks of max(1, round(sqrt(mn) / n))
+rows (about sqrt(mn) cells), and the most negative reduced cost of the first
+block that has one enters (smallest row-major index on ties).  Optimality is
+declared only after a full cycle finds no negative reduced cost.  After a
+run of m + n consecutive degenerate pivots the rule switches to Bland's
+(first negative reduced cost in row-major order) until a pivot moves mass
+again, which rules out cycling.  The leaving cell is always the smallest
+row-major index among the minimum-ratio candidates.  Every rule is
+deterministic, so the selected optimal vertex is reproducible.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 from operator import sub
 
 
@@ -65,14 +75,17 @@ def solve_transportation(supply, demand, cost):
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
         raise ValueError("supplies and demands must be non-negative")
 
-    tree = _northwest_corner(supply, demand, cost)
+    tree = _row_minimum(supply, demand, cost)
+    block = max(1, round(sqrt(m * n) / n))
+    start = 0
     stall_limit = m + n
     stalled = 0
     while True:
-        entering = _entering(cost, tree.u, tree.v, bland=stalled >= stall_limit)
+        entering = _entering(cost, tree.u, tree.v, start, block, bland=stalled >= stall_limit)
         if entering is None:
             break
-        moved = tree.pivot(*entering)
+        i, j, rc, start = entering
+        moved = tree.pivot(i, j, rc)
         stalled = 0 if moved else stalled + 1
 
     u, v = tree.u, tree.v
@@ -89,26 +102,43 @@ def solve_transportation(supply, demand, cost):
     )
 
 
-def _entering(cost, u, v, bland):
-    """The entering cell ``(i, j, reduced_cost)``, or None at optimality.
+def _entering(cost, u, v, start, block, bland):
+    """The entering cell ``(i, j, reduced_cost, next_start)``, or None at optimality.
 
-    With ``bland`` false this is the most negative reduced cost, smallest
-    row-major index on ties; with ``bland`` true it is the first negative
-    reduced cost in row-major order.  Basic cells have reduced cost exactly
-    0, so scanning every cell considers only non-basic ones.
+    With ``bland`` false this is the block search: rows ``start``,
+    ``start + 1``, ... are scanned cyclically in blocks of ``block`` rows (a
+    block also ends at the last row), and the most negative reduced cost of
+    the first block that has a negative one is returned, smallest row-major
+    index on ties, with the row after that block as ``next_start``.  With
+    ``bland`` true it is the first negative reduced cost in row-major order,
+    and ``next_start`` stays ``start``.  Basic cells have reduced cost
+    exactly 0, so scanning every cell considers only non-basic ones.
     """
+    m = len(cost)
+    if bland:
+        for i, (cost_i, ui) in enumerate(zip(cost, u)):
+            if min(map(sub, cost_i, v)) < ui:
+                row = list(map(sub, cost_i, v))
+                j = next(j for j, r in enumerate(row) if r < ui)
+                return i, j, row[j] - ui, start
+        return None
     best = 0
     entering = None
-    for i, (cost_i, ui) in enumerate(zip(cost, u)):
+    i = start
+    end = min(start + block, m)
+    for _ in range(m):
+        cost_i, ui = cost[i], u[i]
         lowest = min(map(sub, cost_i, v))
         if lowest - ui < best:
-            row = list(map(sub, cost_i, v))
-            if bland:
-                j = next(j for j, r in enumerate(row) if r < ui)
-                return i, j, row[j] - ui
             best = lowest - ui
-            entering = (i, row.index(lowest), best)
-    return entering
+            entering = (i, list(map(sub, cost_i, v)).index(lowest), best)
+        i += 1
+        if i == end:
+            i %= m
+            if entering is not None:
+                return (*entering, i)
+            end = min(i + block, m)
+    return None if entering is None else (*entering, i)
 
 
 class _BasisTree:
@@ -221,27 +251,38 @@ class _BasisTree:
             x, new_parent = old_parent, x
 
 
-def _northwest_corner(supply, demand, cost):
-    """Initial basis tree with exactly m + n - 1 basic cells."""
+def _row_minimum(supply, demand, cost):
+    """Initial basis tree of m + n - 1 cells, filled row by row from each row's minimum.
+
+    Each allocation closes exactly one line, so read backwards every cell
+    adds one new node to the cells after it: the cells form a spanning
+    tree, which is hung from source 0.
+    """
     m, n = len(supply), len(demand)
-    tree = _BasisTree(m, n, cost)
     s = list(supply)
     d = list(demand)
-    i = j = 0
-    new_source = False
-    while True:
-        theta = min(s[i], d[j])
-        tree.attach(i, j, theta, new_source)
-        s[i] -= theta
-        d[j] -= theta
-        if i == m - 1 and j == n - 1:
-            break
-        if s[i] == 0 and i < m - 1:
-            i, new_source = i + 1, True
-        elif d[j] == 0 and j < n - 1:
-            j, new_source = j + 1, False
-        elif i < m - 1:
-            i, new_source = i + 1, True
-        else:
-            j, new_source = j + 1, False
+    open_columns = list(range(n))
+    adjacent = [[] for _ in range(m + n)]
+    for i, cost_i in enumerate(cost):
+        last = i == m - 1
+        while open_columns:
+            j = min(open_columns, key=cost_i.__getitem__)
+            theta = min(s[i], d[j])
+            s[i] -= theta
+            d[j] -= theta
+            cell = (i, j, theta)
+            adjacent[i].append(cell)
+            adjacent[m + j].append(cell)
+            if s[i] == 0 and not last:
+                break
+            open_columns.remove(j)
+
+    tree = _BasisTree(m, n, cost)
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for i, j, theta in adjacent[x]:
+            if (i, j) not in tree.flow:
+                tree.attach(i, j, theta, new_source=x >= m)
+                stack.append(i if x >= m else m + j)
     return tree

@@ -72,8 +72,12 @@ def _validated(pair, entries) -> list:
 def concentration_violation(plan: TransportPlan, p) -> float:
     """Worst scaled gap c - c_tilde over interior entries (0 when empty)."""
     p = check_exponent(p)
-    pair = plan.pair
     interior, _, _ = decompose(plan)
+    return _concentration(plan.pair, interior, p)
+
+
+def _concentration(pair, interior: TransportPlan, p: float) -> float:
+    """:func:`concentration_violation` given the plan's interior part."""
     worst = 0.0
     for x, y, _ in _validated(pair, interior.entries):
         direct = pair._distance(x, y) ** p
@@ -197,8 +201,12 @@ def potentials_violation(plan: TransportPlan, duals, p) -> float:
     carrying mass.  A non-finite potential makes the violation infinite.
     """
     p = check_exponent(p)
-    pair = plan.pair
-    mu, nu = marginals(plan)
+    return _potentials(plan.pair, marginals(plan), decompose(plan), duals, p)
+
+
+def _potentials(pair, margins, parts, duals, p: float) -> float:
+    """:func:`potentials_violation` given the plan's marginals and its decomposition."""
+    mu, nu = margins
     for pt, _ in mu.atoms:
         if pt not in duals.phi:
             raise MissingPotentialError(f"no source potential for atom {pt!r}")
@@ -221,7 +229,7 @@ def potentials_violation(plan: TransportPlan, duals, p) -> float:
         bc = pair._dist_to_A(y) ** p
         worst = max(worst, _scaled(psi - bc, bc))
 
-    interior, outgoing, incoming = decompose(plan)
+    interior, outgoing, incoming = parts
     for x, y, _ in _validated(pair, interior.entries):
         c = pair._distance(x, y) ** p
         worst = max(worst, _scaled(abs(duals.phi[x] + duals.psi[y] - c), c))
@@ -241,8 +249,12 @@ def check_potentials(plan: TransportPlan, duals, p, tol: float = 1e-9) -> bool:
 
 def boundary_shipping_violation(plan: TransportPlan) -> float:
     """Worst scaled |d(x, y) - d(x, A)| over boundary entries."""
-    pair = plan.pair
     _, outgoing, incoming = decompose(plan)
+    return _shipping(plan.pair, outgoing, incoming)
+
+
+def _shipping(pair, outgoing: TransportPlan, incoming: TransportPlan) -> float:
+    """:func:`boundary_shipping_violation` given the plan's boundary parts."""
     worst = 0.0
     for x, a, _ in _validated(pair, outgoing.entries):
         d = pair._dist_to_A(x)
@@ -340,8 +352,13 @@ def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
     infinite.
     """
     p = check_exponent(p)
+    return _duality_gap(plan, marginals(plan), duals, p)
+
+
+def _duality_gap(plan: TransportPlan, margins, duals, p: float) -> float:
+    """:func:`duality_gap_violation` given the plan's marginals."""
     pair = plan.pair
-    got_mu, got_nu = marginals(plan)
+    got_mu, got_nu = margins
     xs = [x for x, _ in got_mu.atoms]
     ys = [y for y, _ in got_nu.atoms]
     m, n = len(xs), len(ys)
@@ -412,15 +429,19 @@ def certify_optimal(
     p = check_exponent(p)
     if plan.pair != mu.pair or plan.pair != nu.pair:
         raise PairMismatchError("plan and measures live on different metric pairs")
-    got_mu, got_nu = marginals(plan)
+    margins = marginals(plan)
+    got_mu, got_nu = margins
     if not _marginals_match(got_mu, mu) or not _marginals_match(got_nu, nu):
         raise InadmissiblePlanError("plan marginals do not match the prescribed measures")
 
-    conc = concentration_violation(plan, p)
+    # Each check reads the one marginals and decomposition computed here.
+    parts = decompose(plan)
+    interior, outgoing, incoming = parts
+    conc = _concentration(plan.pair, interior, p)
     mono = cyclical_monotonicity_violation(plan, p)
-    pots = potentials_violation(plan, duals, p)
-    ship = boundary_shipping_violation(plan)
-    gap = duality_gap_violation(plan, duals, p)
+    pots = _potentials(plan.pair, margins, parts, duals, p)
+    ship = _shipping(plan.pair, outgoing, incoming)
+    gap = _duality_gap(plan, margins, duals, p)
 
     return CertificateReport(
         concentrated_on_S=conc <= tol,

@@ -289,10 +289,6 @@ def main(argv=None) -> int:
     except (PartialOTError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
-        # A cost or the optimum beyond the float range.
-        print(f"error: value out of the float range: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -47,6 +47,10 @@ class MalformedFileError(PartialOTError):
     """An input file could not be parsed; message carries path and position."""
 
 
+class FloatRangeError(PartialOTError, OverflowError):
+    """A cost, the optimum or a potential lies beyond the float range."""
+
+
 def check_exponent(p) -> float:
     """Validate the transport exponent: a finite real with p >= 1."""
     p = float(p)

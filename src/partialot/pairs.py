@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidPointError, UnsupportedPairError
+from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError
 
 Point = "tuple[float, ...] | int"
 
@@ -93,14 +93,18 @@ class MetricPair:
         two.  Row i < len(xs) holds d(x_i, y_j)^p, then d(x_i, A)^p; the last
         row holds d(y_j, A)^p, then 0.  Here each cell is the float
         ``d ** p`` read exactly; subclasses override this for exact powers.
+        A cost beyond the float range raises :class:`FloatRangeError`.
         """
         xs, ys = self._validated(xs, ys)
-        rows = [
-            [(self._distance(x, y) ** p).as_integer_ratio() for y in ys]
-            + [(self._dist_to_A(x) ** p).as_integer_ratio()]
-            for x in xs
-        ]
-        rows.append([(self._dist_to_A(y) ** p).as_integer_ratio() for y in ys] + [(0, 1)])
+        try:
+            rows = [
+                [(self._distance(x, y) ** p).as_integer_ratio() for y in ys]
+                + [(self._dist_to_A(x) ** p).as_integer_ratio()]
+                for x in xs
+            ]
+            rows.append([(self._dist_to_A(y) ** p).as_integer_ratio() for y in ys] + [(0, 1)])
+        except OverflowError as exc:
+            raise FloatRangeError(f"value out of the float range: {exc}") from exc
         return _on_one_scale(rows)
 
     def _validated(self, xs, ys) -> tuple:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._simplex import solve_transportation
-from .errors import PairMismatchError, check_exponent
+from .errors import FloatRangeError, PairMismatchError, check_exponent
 from .measures import DiscreteMeasure, PersistenceDiagram, diagram_to_measure
 from .plans import TransportPlan, new_plan
 
@@ -118,7 +118,11 @@ def build_augmented_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Augm
 
 
 def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
-    """Solve for Wb_p with full diagnostics (see :func:`solve`)."""
+    """Solve for Wb_p with full diagnostics (see :func:`solve`).
+
+    Raises :class:`FloatRangeError` when a cost, the optimum or a potential
+    lies beyond the float range.
+    """
     p = check_exponent(p)
     problem = build_augmented_problem(mu, nu, p)
     pair = mu.pair
@@ -135,7 +139,17 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
         (f * problem.cost_exact[i][j] for (i, j), f in flows.items()),
         start=Fraction(0),
     )
-    wb = float(total) ** (1.0 / p)
+    # Shift the raw transportation duals so the boundary potentials vanish:
+    # phi = u + v_boundary, psi = v + u_boundary.  Feasibility and
+    # complementary slackness carry over exactly (the corner cell has cost 0).
+    v_b = v[n]
+    u_b = u[m]
+    try:
+        wb = float(total) ** (1.0 / p)
+        phi = {mu.atoms[i][0]: float(u[i] + v_b) for i in range(m)}
+        psi = {nu.atoms[j][0]: float(v[j] + u_b) for j in range(n)}
+    except OverflowError as exc:
+        raise FloatRangeError(f"value out of the float range: {exc}") from exc
 
     entries = []
     for (i, j), f in flows.items():
@@ -149,15 +163,6 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
             entries.append((pair.project_A(y), y, float(f)))
         # boundary-to-boundary slack is dropped
     plan = new_plan(pair, entries, p)
-
-    # Shift the raw transportation duals so the boundary potentials vanish:
-    # phi = u + v_boundary, psi = v + u_boundary.  Feasibility and
-    # complementary slackness carry over exactly (the corner cell has cost 0).
-    v_b = v[n]
-    u_b = u[m]
-    phi = {mu.atoms[i][0]: float(u[i] + v_b) for i in range(m)}
-    psi = {nu.atoms[j][0]: float(v[j] + u_b) for j in range(n)}
-
     return SolveDetail(wb, plan, DualPotentials(phi, psi), alt > 0)
 
 

@@ -1,9 +1,13 @@
 """Tests for the exact transportation simplex.
 
-The pinned answers in ``data/simplex_golden.json`` were written by the
-rational (``Fraction``) simplex this module replaced.  To rewrite them after
-an intended change of answers, run ``PYTHONPATH=src python tests/test_simplex.py``
-from the repository root and say why in CHANGES.md.
+The pinned answers in ``data/simplex_golden.json`` were rewritten when the
+row-minimum start and block-search pricing replaced the north-west corner
+and the full most-negative scan.  A pricing or start rule may change only
+what exact ties leave open: every instance keeps its optimal value, flows
+where the optimum is unique (``alt == 0``) and duals where the final basis
+has m + n - 1 positive flows.  To rewrite them after an intended change of
+answers, run ``PYTHONPATH=src python tests/test_simplex.py`` from the
+repository root and say why in CHANGES.md.
 """
 
 import json
@@ -14,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from partialot import EuclideanBoxPair, HalfPlanePair, new_measure
-from partialot._simplex import _entering, _northwest_corner, solve_transportation
+from partialot import EuclideanBoxPair, HalfPlanePair, new_measure, solve
+from partialot._simplex import _BasisTree, _entering, _row_minimum, solve_transportation
+from partialot.certify import duality_gap_violation
 from partialot.solver import build_augmented_problem
 
 GOLDEN = Path(__file__).with_name("data") / "simplex_golden.json"
@@ -256,23 +261,58 @@ def test_pinned_answers_are_bit_identical():
         _check_exact_optimality(supply, demand, cost, flows, u, v)
 
 
+#: Pivots the pinned instances took from a north-west-corner start with the
+#: full most-negative scan; the row-minimum start with block search takes 99.
+NORTHWEST_STEEPEST_PIVOTS = 279
+
+
+def test_pinned_instances_take_fewer_pivots(monkeypatch):
+    pivots = 0
+    pivot = _BasisTree.pivot
+
+    def counted(tree, *args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(tree, *args)
+
+    monkeypatch.setattr(_BasisTree, "pivot", counted)
+    for supply, demand, cost in _pinned_instances().values():
+        solve_transportation(supply, demand, cost)
+    assert 0 < pivots < NORTHWEST_STEEPEST_PIVOTS
+
+
 # ---------------------------------------------------------------------------
 # Entering rules and the incremental basis tree.
 
 
-def _brute_force_entering(cost, basis, u, v, bland):
-    """Entering cell by a scan of the non-basic cells only."""
-    best = None
-    for i, row in enumerate(cost):
-        for j, c in enumerate(row):
-            if (i, j) in basis:
-                continue
-            rc = c - u[i] - v[j]
-            if rc < 0 and (best is None or rc < best[2]):
-                best = (i, j, rc)
-                if bland:
-                    return best
-    return best
+def _brute_force_entering(cost, basis, u, v, start, block, bland):
+    """Entering cell and next start row, by a plain scan of the non-basic cells."""
+    m = len(cost)
+    negative = [
+        (i, j, c - u[i] - v[j])
+        for i, row in enumerate(cost)
+        for j, c in enumerate(row)
+        if (i, j) not in basis and c - u[i] - v[j] < 0
+    ]
+    if not negative:
+        return None
+    if bland:
+        return (*negative[0], start)
+    # The cycle from the start row, cut into blocks of `block` rows that
+    # also end at the last row.
+    blocks, rows = [], []
+    for k in range(m):
+        rows.append((start + k) % m)
+        if len(rows) == block or rows[-1] == m - 1:
+            blocks.append(rows)
+            rows = []
+    blocks += [rows] if rows else []
+    for rows in blocks:
+        found = [cell for cell in negative if cell[0] in rows]
+        if found:
+            i, j, rc = min(found, key=lambda cell: (cell[2], cell[0], cell[1]))
+            return i, j, rc, (rows[-1] + 1) % m
+    raise AssertionError("a negative cell outside every block")
 
 
 def _check_tree(tree, supply, demand, cost):
@@ -293,37 +333,97 @@ def _check_tree(tree, supply, demand, cost):
         assert x in tree.children[tree.parent[x]]
 
 
+def _random_degenerate(rng, max_side):
+    """Integer supplies and demands with zeros, and costs in {0, 1, 2}: many ties."""
+    m, n = rng.randint(1, max_side), rng.randint(1, max_side)
+    supply = [rng.randint(0, 3) for _ in range(m)]
+    demand = [0] * n
+    for _ in range(sum(supply)):
+        demand[rng.randrange(n)] += 1
+    cost = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    return supply, demand, cost
+
+
+def _row_minimum_cells(supply, demand, cost):
+    """The row-minimum allocation: each row walks its columns by (cost, index)."""
+    m, n = len(supply), len(demand)
+    s, d = list(supply), list(demand)
+    cells, closed = {}, set()
+    for i in range(m):
+        for j in sorted(range(n), key=lambda j: (cost[i][j], j)):
+            if j in closed:
+                continue
+            theta = min(s[i], d[j])
+            cells[(i, j)] = theta
+            s[i] -= theta
+            d[j] -= theta
+            if s[i] == 0 and i < m - 1:
+                break
+            closed.add(j)
+    return cells
+
+
+def test_row_minimum_start_is_a_spanning_tree():
+    rng = random.Random(29)
+    sides = set()
+    for _ in range(300):
+        supply, demand, cost = _random_degenerate(rng, 6)
+        sides.add((len(supply) == 1, len(demand) == 1))
+        tree = _row_minimum(supply, demand, cost)
+        _check_tree(tree, supply, demand, cost)
+        assert tree.flow == _row_minimum_cells(supply, demand, cost)
+    # m = 1, n = 1 and both occurred
+    assert sides == {(False, False), (True, False), (False, True), (True, True)}
+
+
 @pytest.mark.parametrize("bland", [False, True])
 def test_entering_rules_match_brute_force(bland):
     rng = random.Random(17 + bland)
     seen_negative = 0
-    for _ in range(60):
-        m, n = rng.randint(1, 7), rng.randint(1, 7)
-        supply = [rng.randint(0, 3) for _ in range(m)]
-        demand = [0] * n
-        for _ in range(sum(supply)):
-            demand[rng.randrange(n)] += 1
-        cost = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
-        tree = _northwest_corner(supply, demand, cost)
+    for _ in range(150):
+        supply, demand, cost = _random_degenerate(rng, 7)
+        m = len(supply)
+        tree = _row_minimum(supply, demand, cost)
+        start, block = rng.randrange(m), rng.randint(1, m)
         while True:
             _check_tree(tree, supply, demand, cost)
-            got = _entering(cost, tree.u, tree.v, bland)
-            assert got == _brute_force_entering(cost, tree.flow, tree.u, tree.v, bland)
+            got = _entering(cost, tree.u, tree.v, start, block, bland)
+            want = _brute_force_entering(cost, tree.flow, tree.u, tree.v, start, block, bland)
+            assert got == want
             if got is None:
                 break
             seen_negative += 1
-            tree.pivot(*got)
+            i, j, rc, start = got
+            tree.pivot(i, j, rc)
     assert seen_negative > 100
 
 
 def test_entering_rules_differ():
-    # steepest picks the most negative cell, Bland the first negative one
-    cost = [[0, 0, 5], [0, 1, 0]]
-    u, v = [0, 3], [0, 0, 0]  # reduced costs: row 1 is [-3, -2, -3]
-    assert _entering(cost, u, v, bland=False) == (1, 0, -3)
+    cost = [[0, 0, 5], [0, 1, 0], [5, 5, 5]]
+    u, v = [1, 3, 0], [0, 0, 0]  # reduced costs: [-1, -1, 4], [-3, -2, -3], [5, 5, 5]
+    # the block search takes the first block with a negative cell ...
+    assert _entering(cost, u, v, 0, 1, bland=False) == (0, 0, -1, 1)
+    # ... its most negative cell, and the row after the block as next start
+    assert _entering(cost, u, v, 0, 2, bland=False) == (1, 0, -3, 2)
+    assert _entering(cost, u, v, 1, 1, bland=False) == (1, 0, -3, 2)
+    # from the last row it wraps to row 0; Bland ignores the start row
+    assert _entering(cost, u, v, 2, 1, bland=False) == (0, 0, -1, 1)
+    assert _entering(cost, u, v, 2, 1, bland=True) == (0, 0, -1, 2)
     cost[1][0] = 2  # row 1: [-1, -2, -3]
-    assert _entering(cost, u, v, bland=False) == (1, 2, -3)
-    assert _entering(cost, u, v, bland=True) == (1, 0, -1)
+    assert _entering(cost, u, v, 1, 1, bland=False) == (1, 2, -3, 2)
+    u[0] = 0
+    assert _entering(cost, u, v, 0, 3, bland=False) == (1, 2, -3, 0)
+    assert _entering(cost, u, v, 0, 3, bland=True) == (1, 0, -1, 0)
+    # a full cycle with no negative cell is optimal
+    assert _entering(cost, [0, 0, 0], v, 1, 1, bland=False) is None
+    assert _entering(cost, [0, 0, 0], v, 1, 1, bland=True) is None
+
+
+def test_n500_solve_closes_the_duality_gap_exactly():
+    rng = random.Random("n500")
+    mu, nu = _general_measure(rng, HALF_PLANE, 500), _general_measure(rng, HALF_PLANE, 500)
+    _, plan, duals = solve(mu, nu, 2.0)
+    assert duality_gap_violation(plan, duals, 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +431,7 @@ def test_entering_rules_differ():
 
 
 @pytest.mark.parametrize("pair_name", ["half_plane", "box"])
-@pytest.mark.parametrize("n, p", [(10, 1.0), (30, 2.0), (60, 1.5)])
+@pytest.mark.parametrize("n, p", [(10, 1.0), (30, 2.0), (60, 1.5), (200, 3.0)])
 def test_optimal_value_matches_networkx(pair_name, n, p):
     nx = pytest.importorskip("networkx")
 

@@ -10,8 +10,10 @@ import pytest
 from partialot import (
     EuclideanBoxPair,
     FinitePair,
+    FloatRangeError,
     HalfPlanePair,
     PairMismatchError,
+    PartialOTError,
     build_augmented_problem,
     cost_c,
     cost_ctilde,
@@ -148,6 +150,20 @@ def test_cost_matrix_overflow_is_reported_as_before():
     mu = new_measure(HP, [((-2.0, 1e150), 1.0)])
     with pytest.raises(OverflowError):
         build_augmented_problem(mu, mu, 2.5)
+
+
+@pytest.mark.parametrize(
+    "atoms, p",
+    [
+        ([((0, 1e120), 1.0)], 3),  # the cost d(x, A)^p, in cost_matrix
+        ([((0, 1), 1e308), ((0, 2), 1e308)], 2),  # the optimum, in solve_detail
+    ],
+)
+def test_float_range_error_for_library_callers(atoms, p):
+    mu = new_measure(HP, atoms)
+    with pytest.raises(FloatRangeError, match="value out of the float range") as info:
+        solve(mu, zero_measure(HP), p)
+    assert isinstance(info.value, PartialOTError) and isinstance(info.value, OverflowError)
 
 
 def test_solve_direct_vs_boundary_branch():
