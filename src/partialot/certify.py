@@ -1,22 +1,33 @@
 """Independent verification that a transport plan is optimal.
 
 The checks mirror the equivalent optimality conditions for partial
-transport: support inside the set S where the direct cost equals the
-reduced cost, reduced-cost cyclical monotonicity of the support augmented
-with a virtual boundary pair, existence of feasible complementary-slack
-dual potentials vanishing on A, and nearest-point boundary shipping.  A
-final check bounds the optimum from below by weak duality, in exact integer
-arithmetic, and compares the plan's cost with that bound; nothing is
-re-solved.
+transport.  Every check but boundary shipping reads the plan on the cells of
+one ``pair.cost_matrix`` call over the plan's own marginals, ints on one
+power-of-two scale with a last row and column for A: interior entries sit
+on cell (i, j), entries leaving Omega on (i, A), entries entering it on
+(A, j).
 
-All tolerances are applied in absolute-plus-relative form: a comparison
-fails when the raw violation exceeds ``tol * (1 + magnitude)``.
+* Concentration on S: no interior entry costs more than its detour through
+  A, c_ij <= c_iA + c_Aj.
+* Cyclical monotonicity of the support together with the virtual pair
+  A x A, for every cycle length.  It holds exactly when potentials exist
+  that are feasible on every cell and tight on the support (Rockafellar
+  1966; Villani 2009, Thm 5.10), so one label-correcting search decides it,
+  and when none exist the search yields a violating cycle.
+* Dual potentials: exact potentials within one ulp of the given floats are
+  feasible on every cell, vanish on A and are tight on the support.
+* Nearest-point boundary shipping, on the plan's own boundary points.
+* The duality gap: the plan's cost against an exact weak-duality bound on
+  the optimum; nothing is re-solved.
+
+The cell checks are exact in integer arithmetic and report their violation
+rounded up to a float.  A violation is scaled as ``raw / (1 + magnitude)``,
+and a check passes when that is at most ``tol``; cyclical monotonicity,
+being exact, passes only at 0.
 """
 
 import math
-import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from operator import ge, le, mul, sub
 
 from .errors import (
@@ -25,14 +36,8 @@ from .errors import (
     PairMismatchError,
     check_exponent,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, measures_close
 from .plans import TransportPlan, decompose, marginals
-
-#: Plans with at most this many entries get exhaustive subset enumeration in
-#: the cyclical-monotonicity check; larger plans are sampled.
-EXHAUSTIVE_ENTRY_LIMIT = 8
-#: Number of random subsets per cycle length when sampling.
-SAMPLED_SUBSETS_PER_SIZE = 500
 
 
 @dataclass
@@ -40,7 +45,7 @@ class CertificateReport:
     """Aggregated outcome of all optimality checks."""
 
     concentrated_on_S: bool
-    cyclically_monotone_up_to: dict  # cycle length k -> bool
+    cyclically_monotone: bool
     potentials_valid: bool
     boundary_shipping: bool
     cost_optimal: bool  # plan cost within tol of an exact weak-duality lower bound
@@ -49,7 +54,7 @@ class CertificateReport:
     def all_passed(self) -> bool:
         return (
             self.concentrated_on_S
-            and all(self.cyclically_monotone_up_to.values())
+            and self.cyclically_monotone
             and self.potentials_valid
             and self.boundary_shipping
             and self.cost_optimal
@@ -69,20 +74,49 @@ def _validated(pair, entries) -> list:
     return [(pair.validate_point(x), pair.validate_point(y), m) for x, y, m in entries]
 
 
+def _rounded_up(num: int, den: int) -> float:
+    """The least float not below num / den, for den > 0."""
+    try:
+        q = num / den
+    except OverflowError:
+        return math.copysign(math.inf, num)
+    a, b = q.as_integer_ratio()
+    return math.nextafter(q, math.inf) if a * den < num * b else q
+
+
+def _plan_cells(plan: TransportPlan, margins, p: float) -> tuple:
+    """The plan on the cost cells of its marginals: ``(xs, ys, cells, scale, support)``.
+
+    ``cells`` and ``scale`` are ``pair.cost_matrix(xs, ys, p)`` over the
+    marginals' atoms, and ``support`` holds the cell of each plan entry, in
+    order, with index len(xs) or len(ys) standing for A.
+    """
+    got_mu, got_nu = margins
+    xs = [x for x, _ in got_mu.atoms]
+    ys = [y for y, _ in got_nu.atoms]
+    cells, scale = plan.pair.cost_matrix(xs, ys, p)
+    row_of = {x: i for i, x in enumerate(xs)}
+    col_of = {y: j for j, y in enumerate(ys)}
+    support = [(row_of.get(x, len(xs)), col_of.get(y, len(ys))) for x, y, _ in plan.entries]
+    return xs, ys, cells, scale, support
+
+
 def concentration_violation(plan: TransportPlan, p) -> float:
-    """Worst scaled gap c - c_tilde over interior entries (0 when empty)."""
+    """Worst scaled excess c_ij - (c_iA + c_Aj) over interior entries (0 when none)."""
     p = check_exponent(p)
-    interior, _, _ = decompose(plan)
-    return _concentration(plan.pair, interior, p)
+    _, _, cells, scale, support = _plan_cells(plan, marginals(plan), p)
+    return _concentration(cells, scale, support)
 
 
-def _concentration(pair, interior: TransportPlan, p: float) -> float:
-    """:func:`concentration_violation` given the plan's interior part."""
+def _concentration(cells, scale: int, support) -> float:
+    """:func:`concentration_violation` on the plan's cells."""
+    m, n = len(cells) - 1, len(cells[0]) - 1
     worst = 0.0
-    for x, y, _ in _validated(pair, interior.entries):
-        direct = pair._distance(x, y) ** p
-        reduced = min(direct, pair._dist_to_A(x) ** p + pair._dist_to_A(y) ** p)
-        worst = max(worst, _scaled(direct - reduced, reduced))
+    for i, j in support:
+        if i < m and j < n:
+            detour = cells[i][n] + cells[m][j]
+            if cells[i][j] > detour:
+                worst = max(worst, _rounded_up(cells[i][j] - detour, scale + detour))
     return worst
 
 
@@ -91,154 +125,184 @@ def check_concentrated_on_S(plan: TransportPlan, p, tol: float = 1e-8) -> bool:
     return concentration_violation(plan, p) <= tol
 
 
-def _virtual_cost_matrix(plan: TransportPlan, p):
-    """Pairwise reassignment costs over entries plus one virtual A x A pair.
+def _cycle(pred) -> list:
+    """The nodes of a cycle among the predecessor labels, each followed by its label, or []."""
+    done = set()
+    for start in range(len(pred)):
+        path = {}
+        node = start
+        while node is not None and node not in done and node not in path:
+            path[node] = len(path)
+            node = pred[node]
+        if node in path:
+            return list(path)[path[node] :]
+        done.update(path)
+    return []
 
-    Diagonal cells carry the actual cost of each support pair, off-diagonal
-    cells the reduced cost of reassigning a source to another entry's
-    target; interactions with the virtual pair use boundary distances.  For
-    plans concentrated on S the diagonal agrees with the reduced cost, so
-    the check coincides with reduced-cost cyclical monotonicity of the
-    support together with A x A.
+
+def _tight_potentials(cells, support, phi, psi, lo_phi=None, hi_psi=None) -> tuple:
+    """Exact potentials feasible on every cell and tight on support, within bounds.
+
+    ``cells`` is the augmented matrix, its last row and column for A, and
+    ``support`` its cells that carry flow; the virtual pair (A, A) joins
+    them.  All values are ints on one scale.  ``phi`` (one per row) and ``psi`` (one per column)
+    are upper and lower bounds that the labels start from, and ``lo_phi``
+    and ``hi_psi`` the opposite bounds, both or neither.  Labels only move towards
+    feasibility: phi_i down to min_j c_ij - psi_j, psi_j up to c_ij - phi_i
+    on the support.  That is label-correcting shortest paths over the
+    difference constraints.  When no label moves, the labels are feasible
+    and tight, and they are the greatest phi and least psi within the
+    starting bounds, so none within the other bounds exist if they break
+    those.  Each label keeps the node it last came from; a cycle among
+    those has negative length, and one appears whenever no potentials exist
+    at all.
+
+    Returns ``(potentials, cycle)``: ``((phi, psi), None)`` when potentials
+    within the bounds exist, ``(None, None)`` when they exist only outside,
+    and ``(None, (taken, given))`` for a negative cycle: ``taken`` are its
+    support cells and ``given`` the cells that reassign their rows to the
+    cycle's other columns, at a lower total cost.
     """
-    pair = plan.pair
-    entries = _validated(pair, plan.entries)
-    n = len(entries)
-    row_boundary = [pair._dist_to_A(x) ** p for x, _, _ in entries]
-    col_boundary = [pair._dist_to_A(y) ** p for _, y, _ in entries]
-    size = n + 1
-    matrix = [[0.0] * size for _ in range(size)]
-    for a, (xa, ya, _) in enumerate(entries):
-        for b, (_, yb, _) in enumerate(entries):
-            if a == b:
-                matrix[a][b] = pair._distance(xa, ya) ** p
-            else:
-                matrix[a][b] = min(
-                    pair._distance(xa, yb) ** p, row_boundary[a] + col_boundary[b]
-                )
-        matrix[a][n] = row_boundary[a]
-        matrix[n][a] = col_boundary[a]
-    return matrix
+    m, n = len(phi) - 1, len(psi) - 1
+    phi, psi = list(phi), list(psi)
+    support = sorted({*support, (m, n)})
+    pred = [None] * (len(phi) + len(psi))  # rows 0..m, then columns
+    while True:
+        changed = False
+        for i, j in support:
+            need = cells[i][j] - phi[i]
+            if need > psi[j]:
+                psi[j], pred[m + 1 + j] = need, i
+                changed = True
+        for i, row in enumerate(cells):
+            low = min(map(sub, row, psi))
+            if low < phi[i]:
+                phi[i], pred[i] = low, m + 1 + list(map(sub, row, psi)).index(low)
+                changed = True
+        if not changed:
+            break
+        cycle = _cycle(pred)
+        if cycle:
+            taken = [(pred[v], v - m - 1) for v in cycle if v > m]
+            given = [(v, pred[v] - m - 1) for v in cycle if v <= m]
+            return None, (taken, given)
+    if lo_phi is None or (all(map(ge, phi, lo_phi)) and all(map(le, psi, hi_psi))):
+        return (phi, psi), None
+    return None, None
 
 
-def _lowest_total(matrix, subset) -> float:
-    """Lowest total cost over the reassignments of subset that the search tries.
+def cyclical_monotonicity_violation(plan: TransportPlan, p) -> float:
+    """0.0 when the support with A x A is c-cyclically monotone, else a cycle's scaled improvement.
 
-    All permutations for up to 4 pairs, those keeping the first pair's
-    target beyond.  Each total is summed left to right over the subset's
-    rows; the cells are non-negative, so leaving out the leading 0.0 of a
-    running sum changes no bit.
-    """
-    rows = [matrix[a] for a in subset]
-    if len(subset) == 2:
-        r0, r1 = rows
-        return min([r0[a] + r1[b] for a, b in permutations(subset)])
-    if len(subset) == 3:
-        r0, r1, r2 = rows
-        return min([r0[a] + r1[b] + r2[c] for a, b, c in permutations(subset)])
-    if len(subset) == 4:
-        r0, r1, r2, r3 = rows
-        return min([r0[a] + r1[b] + r2[c] + r3[d] for a, b, c, d in permutations(subset)])
-    low = math.inf
-    for rest in permutations(subset[1:]):
-        total = 0.0
-        for row, b in zip(rows, (subset[0],) + rest):
-            total += row[b]
-        low = min(low, total)
-    return low
-
-
-def cyclical_monotonicity_violation(plan: TransportPlan, p, k_max: int = 4) -> dict:
-    """Worst scaled improvement per cycle length k in 2..k_max.
-
-    Enumerates subsets of the support pairs augmented with one virtual
-    A x A pair; within each subset all permutations are tried for k <= 4 and
-    all cyclic shifts beyond.  Exhaustive over all subsets when the plan has
-    at most ``EXHAUSTIVE_ENTRY_LIMIT`` entries, otherwise
-    ``SAMPLED_SUBSETS_PER_SIZE`` random subsets per size from one fixed
-    seed, so every run checks the same subsets.
+    Exact for every cycle length: the support together with the virtual pair
+    A x A is cyclically monotone exactly when potentials feasible on every
+    cell and tight on the support exist.  Otherwise the search for them
+    ends on a cycle of support cells whose reassignment lowers their total
+    cost; the value is that improvement over 1 + their total cost, exact
+    and rounded up, so it is positive.
     """
     p = check_exponent(p)
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    matrix = _virtual_cost_matrix(plan, p)
-    n_items = len(plan.entries) + 1  # + virtual pair
-    rng = random.Random(0)
-    exhaustive = len(plan.entries) <= EXHAUSTIVE_ENTRY_LIMIT
-
-    worst = {}
-    for k in range(2, k_max + 1):
-        worst_k = 0.0
-        if k > n_items:
-            worst[k] = worst_k
-            continue
-        if exhaustive:
-            subsets = combinations(range(n_items), k)
-        else:
-            pool = range(n_items)
-            subsets = (sorted(rng.sample(pool, k)) for _ in range(SAMPLED_SUBSETS_PER_SIZE))
-        for subset in subsets:
-            base = sum(matrix[a][a] for a in subset)
-            # Rounded subtraction and division by 1 + |base| are monotone, so
-            # the lowest total gives the worst scaled improvement, bit for bit.
-            worst_k = max(worst_k, _scaled(base - _lowest_total(matrix, subset), base))
-        worst[k] = worst_k
-    return worst
+    _, _, cells, scale, support = _plan_cells(plan, marginals(plan), p)
+    return _monotonicity(cells, scale, support)
 
 
-def check_cyclical_monotonicity(plan: TransportPlan, p, k_max: int = 4, tol: float = 1e-8) -> bool:
-    """True iff no reassignment of <= k_max support pairs lowers the cost by tol."""
-    worst = cyclical_monotonicity_violation(plan, p, k_max)
-    return all(w <= tol for w in worst.values())
+def _monotonicity(cells, scale: int, support) -> float:
+    """:func:`cyclical_monotonicity_violation` on the plan's cells."""
+    m, n = len(cells) - 1, len(cells[0]) - 1
+    # phi starts at its bound c_iA and psi below every c_ij - c_iA (cells are
+    # >= 0), so the first pass over the support sets psi to its least value.
+    phi = [row[n] for row in cells]
+    _, cycle = _tight_potentials(cells, support, phi, [-max(phi)] * (n + 1))
+    if cycle is None:
+        return 0.0
+    taken, given = cycle
+    base = sum(cells[i][j] for i, j in taken)
+    return _rounded_up(base - sum(cells[i][j] for i, j in given), scale + base)
+
+
+def check_cyclical_monotonicity(plan: TransportPlan, p) -> bool:
+    """True iff no reassignment of support pairs, with A x A, lowers the cost."""
+    return cyclical_monotonicity_violation(plan, p) == 0.0
+
+
+def _dyadic(values, bits: int = 0) -> tuple:
+    """Finite floats as ints over one power of two: (ints, k), value = int / 2^k, k >= bits."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    k = max([bits] + [d.bit_length() - 1 for _, d in ratios])
+    return [n << (k + 1 - d.bit_length()) for n, d in ratios], k
+
+
+def _one_ulp_box(cells, scale: int, support, phi, psi):
+    """The float potentials and the cells on one int scale, and exact potentials near them.
+
+    Returns ``(tight, cells, phi, psi, unit)``, each value standing for
+    int / unit, or None when a potential is not finite.  ``tight`` holds
+    exact potentials within one ulp of each float, extended by 0 on A,
+    that are feasible on every cell and tight on the support, or None when
+    there are none.  Float rounding moves exact potentials by less than an
+    ulp, so a plan certified by exact potentials has them in this box.
+    """
+    if not all(math.isfinite(v) for v in phi + psi):
+        return None
+    m, n = len(phi), len(psi)
+    bits = scale.bit_length() - 1
+    values, k = _dyadic(phi + psi + [math.ulp(v) for v in phi + psi], bits)
+    phi, psi, ulps = values[:m], values[m : m + n], values[m + n :]
+    cells = [[c << (k - bits) for c in row] for row in cells]
+    tight, _ = _tight_potentials(
+        cells,
+        support,
+        [f + u for f, u in zip(phi, ulps)] + [0],
+        [g - u for g, u in zip(psi, ulps[m:])] + [0],
+        [f - u for f, u in zip(phi, ulps)] + [0],
+        [g + u for g, u in zip(psi, ulps[m:])] + [0],
+    )
+    return tight, cells, phi, psi, 1 << k
+
+
+def _potential_values(xs, ys, duals) -> tuple:
+    """The given potentials of the marginals' atoms, or MissingPotentialError."""
+    for pt in xs:
+        if pt not in duals.phi:
+            raise MissingPotentialError(f"no source potential for atom {pt!r}")
+    for pt in ys:
+        if pt not in duals.psi:
+            raise MissingPotentialError(f"no sink potential for atom {pt!r}")
+    return [duals.phi[x] for x in xs], [duals.psi[y] for y in ys]
 
 
 def potentials_violation(plan: TransportPlan, duals, p) -> float:
     """Worst scaled violation of dual feasibility and complementary slackness.
 
-    Feasibility is checked on all atom pairs of the plan's marginals and
-    against the boundary (phi <= d(., A)^p and psi <= d(., A)^p, the
-    vanish-on-A condition moved to the edges); slackness on every entry
-    carrying mass.  A non-finite potential makes the violation infinite.
+    0.0 when exact potentials within one ulp of the given ones are feasible
+    on every cell of the plan's marginals (phi_i + psi_j <= c_ij, and
+    phi_i <= c_iA and psi_j <= c_Aj, the vanish-on-A condition moved to the
+    edges) and tight on every entry carrying mass.  Otherwise the given
+    potentials' own worst violation, each over 1 + its cell's cost, exact
+    and rounded up.  A non-finite potential makes the violation infinite.
     """
     p = check_exponent(p)
-    return _potentials(plan.pair, marginals(plan), decompose(plan), duals, p)
+    xs, ys, cells, scale, support = _plan_cells(plan, marginals(plan), p)
+    box = _one_ulp_box(cells, scale, support, *_potential_values(xs, ys, duals))
+    return _potentials(box, support)
 
 
-def _potentials(pair, margins, parts, duals, p: float) -> float:
-    """:func:`potentials_violation` given the plan's marginals and its decomposition."""
-    mu, nu = margins
-    for pt, _ in mu.atoms:
-        if pt not in duals.phi:
-            raise MissingPotentialError(f"no source potential for atom {pt!r}")
-    for pt, _ in nu.atoms:
-        if pt not in duals.psi:
-            raise MissingPotentialError(f"no sink potential for atom {pt!r}")
-    sources = [(pair.validate_point(x), duals.phi[x]) for x, _ in mu.atoms]
-    sinks = [(pair.validate_point(y), duals.psi[y]) for y, _ in nu.atoms]
-    if not all(math.isfinite(v) for _, v in sources + sinks):
+def _potentials(box, support) -> float:
+    """:func:`potentials_violation` given the one-ulp search."""
+    if box is None:
         return math.inf
-
+    tight, cells, phi, psi, unit = box
+    if tight is not None:
+        return 0.0
+    carried = set(support)
     worst = 0.0
-    for x, phi in sources:
-        bc = pair._dist_to_A(x) ** p
-        worst = max(worst, _scaled(phi - bc, bc))
-        for y, psi in sinks:
-            c = pair._distance(x, y) ** p
-            worst = max(worst, _scaled(phi + psi - c, c))
-    for y, psi in sinks:
-        bc = pair._dist_to_A(y) ** p
-        worst = max(worst, _scaled(psi - bc, bc))
-
-    interior, outgoing, incoming = parts
-    for x, y, _ in _validated(pair, interior.entries):
-        c = pair._distance(x, y) ** p
-        worst = max(worst, _scaled(abs(duals.phi[x] + duals.psi[y] - c), c))
-    for x, a, _ in _validated(pair, outgoing.entries):
-        c = pair._distance(x, a) ** p
-        worst = max(worst, _scaled(abs(duals.phi[x] - c), c))
-    for a, y, _ in _validated(pair, incoming.entries):
-        c = pair._distance(a, y) ** p
-        worst = max(worst, _scaled(abs(duals.psi[y] - c), c))
+    for i, (f, row) in enumerate(zip(phi + [0], cells)):
+        for j, (g, c) in enumerate(zip(psi + [0], row)):
+            excess = f + g - c
+            if (i, j) in carried:
+                excess = abs(excess)
+            if excess > 0:
+                worst = max(worst, _rounded_up(excess, unit + c))
     return worst
 
 
@@ -270,68 +334,6 @@ def check_boundary_shipping(plan: TransportPlan, tol: float = 1e-9) -> bool:
     return boundary_shipping_violation(plan) <= tol
 
 
-def _dyadic(values, bits: int = 0) -> tuple:
-    """Finite floats as ints over one power of two: (ints, k), value = int / 2^k, k >= bits."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    k = max([bits] + [d.bit_length() - 1 for _, d in ratios])
-    return [n << (k + 1 - d.bit_length()) for n, d in ratios], k
-
-
-def _rounded_up(num: int, den: int) -> float:
-    """The least float not below num / den, for den > 0."""
-    try:
-        q = num / den
-    except OverflowError:
-        return math.copysign(math.inf, num)
-    a, b = q.as_integer_ratio()
-    return math.nextafter(q, math.inf) if a * den < num * b else q
-
-
-def _tight_potentials(cells, phi, psi, ulps, support):
-    """Exact potentials within one ulp of phi and psi, feasible and tight on support, or None.
-
-    ``cells`` is the augmented matrix (last row and column for A, where the
-    potentials are 0), ``ulps`` the ulp of each potential, ``support`` the
-    cells carrying flow; all are ints on one scale.  Float rounding moves
-    exact potentials by less than an ulp, so a plan certified by exact
-    potentials has them in this box.  Labels only move towards feasibility
-    (phi down from its upper bound, psi up from its lower bound), which
-    finds the box's solution if one exists; that is shortest paths over the
-    difference constraints, settled within one pass per variable unless
-    a negative cycle shows that the plan is not optimal.
-    """
-    m, n = len(phi), len(psi)
-    lo_phi = [f - u for f, u in zip(phi, ulps)]
-    hi_psi = [min(g + u, c) for g, u, c in zip(psi, ulps[m:], cells[m])]
-    phi = [min(f + u, row[n]) for f, u, row in zip(phi, ulps, cells)]
-    psi = [g - u for g, u in zip(psi, ulps[m:])]
-    interior = []
-    for i, j in support:
-        if i < m and j < n:
-            interior.append((i, j))
-        elif i < m:
-            lo_phi[i] = max(lo_phi[i], cells[i][n])
-        elif j < n:
-            psi[j] = max(psi[j], cells[m][j])
-    for _ in range(m + n + 1):
-        changed = False
-        for i, row in enumerate(cells[:m]):
-            low = min(map(sub, row, psi), default=phi[i])
-            if low < phi[i]:
-                phi[i], changed = low, True
-        for i, j in interior:
-            need = cells[i][j] - phi[i]
-            if need > psi[j]:
-                psi[j], changed = need, True
-        if not changed:
-            break
-    else:
-        return None
-    if all(map(ge, phi, lo_phi)) and all(map(le, psi, hi_psi)):
-        return phi, psi
-    return None
-
-
 def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
     """Scaled gap between the plan's cost and a weak-duality bound on its optimum.
 
@@ -352,33 +354,19 @@ def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
     infinite.
     """
     p = check_exponent(p)
-    return _duality_gap(plan, marginals(plan), duals, p)
-
-
-def _duality_gap(plan: TransportPlan, margins, duals, p: float) -> float:
-    """:func:`duality_gap_violation` given the plan's marginals."""
-    pair = plan.pair
-    got_mu, got_nu = margins
-    xs = [x for x, _ in got_mu.atoms]
-    ys = [y for y, _ in got_nu.atoms]
-    m, n = len(xs), len(ys)
+    xs, ys, cells, scale, support = _plan_cells(plan, marginals(plan), p)
     phi = [duals.phi.get(x, 0.0) for x in xs]
     psi = [duals.psi.get(y, 0.0) for y in ys]
-    if not all(math.isfinite(v) for v in phi + psi):
+    return _duality_gap(plan, _one_ulp_box(cells, scale, support, phi, psi), support)
+
+
+def _duality_gap(plan: TransportPlan, box, support) -> float:
+    """:func:`duality_gap_violation` given the one-ulp search."""
+    if box is None:
         return math.inf
-
-    cells, scale = pair.cost_matrix(xs, ys, p)
-    values, bits = _dyadic(
-        phi + psi + [math.ulp(v) for v in phi + psi], scale.bit_length() - 1
-    )
-    phi, psi, ulps = values[:m], values[m : m + n], values[m + n :]
-    shift = bits - (scale.bit_length() - 1)
-    cells = [[c << shift for c in row] for row in cells]
+    tight, cells, phi, psi, unit = box
+    m, n = len(phi), len(psi)
     masses, mass_bits = _dyadic([mass for _, _, mass in plan.entries])
-
-    row_of = {x: i for i, x in enumerate(xs)}
-    col_of = {y: j for j, y in enumerate(ys)}
-    support = [(row_of.get(x, m), col_of.get(y, n)) for x, y, _ in plan.entries]
     cost = 0
     row_flow, col_flow = [0] * (m + 1), [0] * (n + 1)
     for (i, j), mass in zip(support, masses):
@@ -386,7 +374,6 @@ def _duality_gap(plan: TransportPlan, margins, duals, p: float) -> float:
         row_flow[i] += mass
         col_flow[j] += mass
 
-    tight = _tight_potentials(cells, phi, psi, ulps, support)
     if tight is not None:
         phi, psi = tight
     else:
@@ -396,18 +383,7 @@ def _duality_gap(plan: TransportPlan, margins, duals, p: float) -> float:
         ]
         psi = [min(g, c) for g, c in zip(psi, cells[m])]
     bound = sum(map(mul, row_flow, phi)) + sum(map(mul, col_flow, psi))
-    return _rounded_up(cost - bound, (1 << (bits + mass_bits)) + max(bound, 0))
-
-
-def _marginals_match(got: DiscreteMeasure, want: DiscreteMeasure) -> bool:
-    got_d = got.mass_by_point()
-    want_d = want.mass_by_point()
-    for pt in set(got_d) | set(want_d):
-        a = got_d.get(pt, 0.0)
-        b = want_d.get(pt, 0.0)
-        if abs(a - b) > 1e-10 * (1.0 + max(abs(a), abs(b))):
-            return False
-    return True
+    return _rounded_up(cost - bound, (unit << mass_bits) + max(bound, 0))
 
 
 def certify_optimal(
@@ -420,34 +396,40 @@ def certify_optimal(
 ) -> CertificateReport:
     """Run all optimality checks against the prescribed marginals.
 
-    Raises :class:`InadmissiblePlanError` when the plan's marginals do not
-    match mu and nu (masses to a relative 1e-10); otherwise returns the
-    aggregated report, with cycles of up to 4 pairs and the
-    exact duality-gap bound on the plan's cost (see
-    :func:`duality_gap_violation`).  No solver is called.
+    Raises :class:`InadmissiblePlanError` unless the plan's marginals have
+    the atoms of mu and nu, at the same points, with masses equal to a
+    relative 1e-10 (:func:`measures.measures_close`); otherwise returns the
+    aggregated report, with the exact duality-gap bound on the plan's cost
+    (see :func:`duality_gap_violation`).  No solver is called.
     """
     p = check_exponent(p)
     if plan.pair != mu.pair or plan.pair != nu.pair:
         raise PairMismatchError("plan and measures live on different metric pairs")
     margins = marginals(plan)
     got_mu, got_nu = margins
-    if not _marginals_match(got_mu, mu) or not _marginals_match(got_nu, nu):
+    if not (
+        measures_close(got_mu, mu, coord_tol=0.0, mass_tol=1e-10)
+        and measures_close(got_nu, nu, coord_tol=0.0, mass_tol=1e-10)
+    ):
         raise InadmissiblePlanError("plan marginals do not match the prescribed measures")
 
-    # Each check reads the one marginals and decomposition computed here.
-    parts = decompose(plan)
-    interior, outgoing, incoming = parts
-    conc = _concentration(plan.pair, interior, p)
-    mono = cyclical_monotonicity_violation(plan, p)
-    pots = _potentials(plan.pair, margins, parts, duals, p)
+    # Every check but shipping reads these cells, and the potentials check
+    # and the duality gap share one search for exact potentials.
+    xs, ys, cells, scale, support = _plan_cells(plan, margins, p)
+    box = _one_ulp_box(cells, scale, support, *_potential_values(xs, ys, duals))
+    _, outgoing, incoming = decompose(plan)
+    conc = _concentration(cells, scale, support)
+    # Tight potentials within one ulp also prove cyclical monotonicity.
+    mono = 0.0 if box is not None and box[0] is not None else _monotonicity(cells, scale, support)
+    pots = _potentials(box, support)
     ship = _shipping(plan.pair, outgoing, incoming)
-    gap = _duality_gap(plan, margins, duals, p)
+    gap = _duality_gap(plan, box, support)
 
     return CertificateReport(
         concentrated_on_S=conc <= tol,
-        cyclically_monotone_up_to={k: w <= tol for k, w in mono.items()},
+        cyclically_monotone=mono == 0.0,
         potentials_valid=pots <= tol,
         boundary_shipping=ship <= tol,
         cost_optimal=gap <= tol,
-        worst_violation=max(conc, max(mono.values(), default=0.0), pots, ship, gap),
+        worst_violation=max(conc, mono, pots, ship, gap),
     )

@@ -226,7 +226,7 @@ def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200
             nonlocal worst
             wb, plan, duals = solve(mu, nu, p)
             conc = certify.concentration_violation(plan, p)
-            mono = max(certify.cyclical_monotonicity_violation(plan, p, 4).values(), default=0.0)
+            mono = certify.cyclical_monotonicity_violation(plan, p)
             pots = certify.potentials_violation(plan, duals, p)
             ship = certify.boundary_shipping_violation(plan)
             worst = max(worst, conc, mono, pots, ship)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -25,12 +26,12 @@ from partialot import (
     zero_measure,
 )
 from partialot.certify import (
-    SAMPLED_SUBSETS_PER_SIZE,
     cyclical_monotonicity_violation,
     duality_gap_violation,
     potentials_violation,
 )
 from partialot.plans import cost as plan_cost
+from partialot.plans import marginals
 
 HP = HalfPlanePair()
 BOX = EuclideanBoxPair((0, 0), (4, 4))
@@ -72,7 +73,7 @@ def test_cyclical_monotonicity_solver_output():
             HP, [((rng.uniform(-2, 2), rng.uniform(3, 5)), 1.0) for _ in range(3)]
         )
         r = solve(mu, nu, 2)
-        assert check_cyclical_monotonicity(r.plan, 2, k_max=4)
+        assert check_cyclical_monotonicity(r.plan, 2)
 
 
 def test_cyclical_monotonicity_detects_swap():
@@ -80,22 +81,21 @@ def test_cyclical_monotonicity_detects_swap():
     mu = new_measure(HP, [((0, 1), 1.0), ((0, 2), 1.0)])
     nu = new_measure(HP, [((0, 1.5), 1.0), ((0, 2.5), 1.0)])
     r = solve(mu, nu, 2)
-    assert check_cyclical_monotonicity(r.plan, 2, k_max=2)
+    assert check_cyclical_monotonicity(r.plan, 2)
     swapped = new_plan(
         HP, [((0, 1), (0, 2.5), 1.0), ((0, 2), (0, 1.5), 1.0)], 2
     )
-    assert not check_cyclical_monotonicity(swapped, 2, k_max=2)
-    worst = cyclical_monotonicity_violation(swapped, 2, k_max=2)
-    assert worst[2] > 1e-3
+    assert not check_cyclical_monotonicity(swapped, 2)
+    assert cyclical_monotonicity_violation(swapped, 2) > 1e-3
 
 
 def test_cyclical_monotonicity_single_entry_vs_virtual():
     # in S: the two-cycle against the virtual boundary pair cannot improve
     good = new_plan(HP, [((0, 1), (0, 3), 1.0)], 2)
-    assert check_cyclical_monotonicity(good, 2, k_max=2)
+    assert check_cyclical_monotonicity(good, 2)
     # off S: rerouting via the boundary beats the direct edge
     bad = new_plan(HP, [((0, 1), (0, 5), 1.0)], 2)
-    assert not check_cyclical_monotonicity(bad, 2, k_max=2)
+    assert not check_cyclical_monotonicity(bad, 2)
 
 
 def test_potentials_examples():
@@ -113,6 +113,45 @@ def test_potentials_examples():
     z = zero_measure(HP)
     rz = solve(z, z, 2)
     assert check_potentials(rz.plan, rz.duals, 2)
+
+
+# The half-plane instance of test_solver's ``_WIDE``: coordinates from 5e-324
+# to 1e150, so the potentials dwarf the small cells by many orders.
+_WIDE_XS = [(0.0, 1e-8 + 1e-7), (5e-324, 1.0), (-3.25, 0.1), (1e-8, 2.5), (7.0, 1e100)]
+_WIDE_YS = [(0.5, 3.0), (5e-324, 0.75), (-1e-8, 1e-3), (1e50, 1e100 + 1e90), (-2.0, 1e150)]
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 2.5, 3])
+def test_potentials_exact_at_wide_scales(p):
+    xs, ys = _WIDE_XS, _WIDE_YS
+    if p > 2:  # keep d^p below the float range
+        xs = [x for x in xs if max(x) < 1e120]
+        ys = [y for y in ys if max(y) < 1e120]
+    mu = new_measure(HP, [(x, 1.0) for x in xs])
+    nu = new_measure(HP, [(y, 0.5) for y in ys])
+    r = solve(mu, nu, p)
+    assert potentials_violation(r.plan, r.duals, p) == 0.0
+    assert certify_optimal(mu, nu, r.plan, r.duals, p).all_passed()
+
+
+def test_potentials_exact_on_near_identical_wide_measures():
+    # Coordinates 1e4-1e8, the second measure the first with each atom moved
+    # by up to 1e-3 of its scale: potentials reach about scale^p while the
+    # matched cells stay small, so one ulp of a potential can exceed 1e-9 of
+    # (1 + its cell).
+    for seed in range(30):
+        rng = random.Random(seed)
+        atoms, moved = [], []
+        for _ in range(12):
+            scale = 10 ** rng.uniform(4, 8)
+            a = rng.uniform(0, scale)
+            pt, m = (a, a + rng.uniform(0.05, 0.5) * scale), rng.uniform(0.1, 3)
+            atoms.append((pt, m))
+            moved.append(((a + rng.uniform(-1e-3, 1e-3) * scale, pt[1]), m))
+        mu, nu = new_measure(HP, atoms), new_measure(HP, moved)
+        for p in (1, 2):
+            r = solve(mu, nu, p)
+            assert potentials_violation(r.plan, r.duals, p) == 0.0, (seed, p)
 
 
 def test_potentials_missing_atom():
@@ -153,7 +192,7 @@ def test_certify_optimal_rejects_canonical_suboptimal_plan():
     report = certify_optimal(mu, nu, canonical, r.duals, 2)
     assert not report.all_passed()
     assert not report.cost_optimal
-    assert not report.cyclically_monotone_up_to[2]
+    assert not report.cyclically_monotone
 
 
 def test_certify_optimal_zero_vs_zero():
@@ -170,6 +209,17 @@ def test_certify_optimal_rejects_inadmissible():
     other = new_plan(HP, [((0, 1), (1, 4), 1.0)], 2)
     with pytest.raises(InadmissiblePlanError):
         certify_optimal(mu, nu, other, r.duals, 2)
+
+
+def test_certify_optimal_rejects_atom_missing_from_measure():
+    mu = new_measure(HP, [((0, 1), 1.0)])
+    nu = new_measure(HP, [((0, 3), 1.0)])
+    r = solve(mu, nu, 2)
+    # A source atom of mass 1e-11 that mu lacks, shipped to its nearest point of A.
+    extra = new_plan(HP, [*r.plan.entries, ((0, 2), (1, 1), 1e-11)], 2)
+    duals = DualPotentials({**r.duals.phi, (0.0, 2.0): 2.0}, r.duals.psi)
+    with pytest.raises(InadmissiblePlanError):
+        certify_optimal(mu, nu, extra, duals, 2)
 
 
 def test_sensitivity_to_perturbation():
@@ -213,49 +263,6 @@ def test_sensitivity_to_perturbation():
     assert rejected >= 0.95 * tried
 
 
-def _reference_monotonicity(plan, p, k_max, seed=0, samples=SAMPLED_SUBSETS_PER_SIZE):
-    """The search as first written: pair.distance per cell, one scaled value per reassignment."""
-    pair = plan.pair
-    p = float(p)
-    entries = plan.entries
-    n = len(entries)
-    row_boundary = [pair.dist_to_A(x) ** p for x, _, _ in entries]
-    col_boundary = [pair.dist_to_A(y) ** p for _, y, _ in entries]
-    matrix = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for a, (xa, ya, _) in enumerate(entries):
-        for b, (_, yb, _) in enumerate(entries):
-            if a == b:
-                matrix[a][b] = pair.distance(xa, ya) ** p
-            else:
-                matrix[a][b] = min(pair.distance(xa, yb) ** p, row_boundary[a] + col_boundary[b])
-        matrix[a][n] = row_boundary[a]
-        matrix[n][a] = col_boundary[a]
-    rng = random.Random(seed)
-    worst = {}
-    for k in range(2, k_max + 1):
-        worst_k = 0.0
-        if k > n + 1:
-            worst[k] = worst_k
-            continue
-        if n <= 8:
-            subsets = combinations(range(n + 1), k)
-        else:
-            subsets = (tuple(sorted(rng.sample(range(n + 1), k))) for _ in range(samples))
-        for subset in subsets:
-            base = sum(matrix[a][a] for a in subset)
-            if k <= 4:
-                reassignments = permutations(subset)
-            else:
-                reassignments = ((subset[0],) + rest for rest in permutations(subset[1:]))
-            for sigma in reassignments:
-                total = 0.0
-                for a, b in zip(subset, sigma):
-                    total += matrix[a][b]
-                worst_k = max(worst_k, (base - total) / (1.0 + abs(base)))
-        worst[k] = worst_k
-    return worst
-
-
 def _random_plan(rng, pair, size, p):
     """A plan of random interior and boundary entries, not optimal for anything."""
     def point():
@@ -279,24 +286,67 @@ def _random_plan(rng, pair, size, p):
     return new_plan(pair, entries, p)
 
 
+def _reference_improvement(plan, p):
+    """Largest scaled improvement of any reassignment, by exhaustive enumeration.
+
+    Every permutation of the columns of every subset of the plan's support
+    cells plus (A, A), on the ``cost_matrix`` ints of the plan's marginals;
+    exact, and 0 when no reassignment lowers the cost.
+    """
+    got_mu, got_nu = marginals(plan)
+    xs, ys = [x for x, _ in got_mu.atoms], [y for y, _ in got_nu.atoms]
+    cells, scale = plan.pair.cost_matrix(xs, ys, p)
+    m, n = len(xs), len(ys)
+    row_of = {x: i for i, x in enumerate(xs)}
+    col_of = {y: j for j, y in enumerate(ys)}
+    items = {(row_of.get(x, m), col_of.get(y, n)) for x, y, _ in plan.entries} | {(m, n)}
+    best = Fraction(0)
+    for k in range(2, len(items) + 1):
+        for subset in combinations(sorted(items), k):
+            base = sum(cells[i][j] for i, j in subset)
+            low = min(
+                sum(cells[i][j] for (i, _), j in zip(subset, cols))
+                for cols in permutations([j for _, j in subset])
+            )
+            best = max(best, Fraction(base - low, scale + base))
+    return best
+
+
 @pytest.mark.parametrize("pair", [HP, BOX, FIN], ids=["half_plane", "box", "finite"])
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
-def test_cyclical_monotonicity_matches_reference_bit_for_bit(pair, p):
+def test_cyclical_monotonicity_matches_exhaustive_reference(pair, p):
     rng = random.Random(f"{pair.kind}/{p}")
-    plans = [_random_plan(rng, pair, size, p) for size in (1, 5, 8, 9, 14)]
+    plans = [_random_plan(rng, pair, size, p) for size in range(1, 7) for _ in range(4)]
     if pair is HP:
         plans += [
             new_plan(HP, [((0, 1), (0, 2.5), 1.0), ((0, 2), (0, 1.5), 1.0)], p),
             new_plan(HP, [((0, 1), (0, 3), 1.0)], p),
             new_plan(HP, [((0, 1), (0, 5), 1.0)], p),
         ]
-    assert {len(plan.entries) > 8 for plan in plans} == {False, True}
+    verdicts = set()
     for plan in plans:
-        for k_max in (2, 3, 4, 5):
-            got = cyclical_monotonicity_violation(plan, p, k_max)
-            want = _reference_monotonicity(plan, p, k_max)
-            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
-    assert any(v > 0 for plan in plans for v in cyclical_monotonicity_violation(plan, p).values())
+        got = cyclical_monotonicity_violation(plan, p)
+        want = _reference_improvement(plan, p)
+        assert (got == 0.0) == (want == 0), (plan, got, want)
+        # The reported cycle is one of the reassignments the reference tries.
+        assert got <= math.nextafter(float(want), math.inf)
+        verdicts.add(got == 0.0)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cyclical_monotonicity_finds_a_five_cycle(p):
+    # Five sources on a unit circle far from the diagonal, each sent to the
+    # sink 40 degrees ahead.  Sending each to the sink 32 degrees behind is
+    # cheaper, but only when all five move at once.
+    def at(degrees):
+        t = math.radians(degrees)
+        return (math.cos(t), 100 + math.sin(t))
+
+    ring = new_plan(HP, [(at(72 * k), at(72 * k + 40), 1.0) for k in range(5)], p)
+    got = cyclical_monotonicity_violation(ring, p)
+    assert not check_cyclical_monotonicity(ring, p)
+    assert 0 < got <= math.nextafter(float(_reference_improvement(ring, p)), math.inf)
 
 
 def test_certify_optimal_calls_no_solver(monkeypatch):

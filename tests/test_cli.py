@@ -83,7 +83,11 @@ def test_certify_failing_plan_exits_3(measures, tmp_path, capsys):
     sub = new_plan(HP, [((0, 1), (0.5, 0.5), 1.0), ((1.5, 1.5), (0, 3), 1.0)], 2)
     pot_io.save_plan(sub, plan_file, duals=solve(mu, nu, 2).duals)
     assert main(["certify", "--p", "2", a, b, plan_file]) == 3
-    assert "certificate FAILED" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "certificate FAILED" in lines
+    assert [line for line in lines if line.startswith("cyclical")] == ["cyclical-monotonicity  FAIL"]
+    assert main(["certify", "--p", "2", "--format", "machine", a, b, plan_file]) == 3
+    assert json.loads(capsys.readouterr().out)["cyclically_monotone"] is False
 
 
 def test_certify_without_duals_exits_2(measures, tmp_path, capsys):

@@ -326,3 +326,57 @@ def test_readme_library_example():
     exec(example, namespace)
     assert namespace["wb"] == 2.0
     assert namespace["report"].all_passed()
+
+
+# ---------------------------------------------------------------------------
+# Independent float cross-check against scipy's HiGHS LP solver.
+
+
+def _measure_on(rng, pair, points):
+    return new_measure(pair, [(pt, rng.uniform(0.1, 3.0)) for pt in points])
+
+
+@pytest.mark.parametrize("kind, p", [("half_plane", 2), ("box", 1.5), ("finite", 3)])
+def test_wb_matches_scipy_linprog_at_n200(kind, p):
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = random.Random(f"linprog/{kind}")
+    n = 200
+    if kind == "finite":
+        # Integer points of the plane under the Manhattan metric, exact in
+        # floats; the last one is A.
+        grid = sorted({(rng.randrange(1000), rng.randrange(1000)) for _ in range(3 * n)})[: n + 1]
+        table = tuple(tuple(float(abs(a - c) + abs(b - d)) for c, d in grid) for a, b in grid)
+        pair = FinitePair(table, frozenset({n}))
+        xs = ys = range(n)
+    elif kind == "half_plane":
+        pair = HP
+        xs, ys = ([(a, a + rng.uniform(0.1, 5.0)) for a in (rng.uniform(0, 10) for _ in range(n))]
+                  for _ in range(2))
+    else:
+        pair = BOX
+        xs, ys = ([(rng.uniform(0.05, 3.95), rng.uniform(0.05, 3.95)) for _ in range(n)]
+                  for _ in range(2))
+    mu, nu = _measure_on(rng, pair, xs), _measure_on(rng, pair, ys)
+
+    # The boundary-augmented LP in floats: a last row and column for A, the
+    # A row supplying nu's mass and the A column taking mu's.
+    xs, a = zip(*mu.atoms)
+    ys, b = zip(*nu.atoms)
+    cost = [[pair.distance(x, y) ** p for y in ys] + [pair.dist_to_A(x) ** p] for x in xs]
+    cost.append([pair.dist_to_A(y) ** p for y in ys] + [0.0])
+    rows, cols = len(xs) + 1, len(ys) + 1
+    var = np.arange(rows * cols)
+    constraints = sparse.coo_matrix(
+        (np.ones(2 * var.size), (np.concatenate([var // cols, rows + var % cols]), np.tile(var, 2)))
+    )
+    lp = optimize.linprog(
+        np.array(cost).ravel(),
+        A_eq=constraints,
+        b_eq=[*a, sum(b), *b, sum(a)],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert lp.status == 0, lp.message
+    assert solve(mu, nu, p).wb ** p == pytest.approx(lp.fun, rel=1e-9)
