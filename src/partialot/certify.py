@@ -61,6 +61,17 @@ class CertificateReport:
         )
 
 
+def _check_tol(tol) -> float:
+    """``tol`` as a float, or ValueError unless it is finite and >= 0.
+
+    NaN would fail every check and an infinite tolerance pass every one.
+    """
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"certificate tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _scaled(violation: float, magnitude: float) -> float:
     return violation / (1.0 + abs(magnitude))
 
@@ -122,6 +133,7 @@ def _concentration(cells, scale: int, support) -> float:
 
 def check_concentrated_on_S(plan: TransportPlan, p, tol: float = 1e-8) -> bool:
     """True iff every interior entry lies in S within tol; boundary entries pass."""
+    tol = _check_tol(tol)
     return concentration_violation(plan, p) <= tol
 
 
@@ -308,6 +320,7 @@ def _potentials(box, support) -> float:
 
 def check_potentials(plan: TransportPlan, duals, p, tol: float = 1e-9) -> bool:
     """True iff the potentials are feasible and complementarily slack within tol."""
+    tol = _check_tol(tol)
     return potentials_violation(plan, duals, p) <= tol
 
 
@@ -331,6 +344,7 @@ def _shipping(pair, outgoing: TransportPlan, incoming: TransportPlan) -> float:
 
 def check_boundary_shipping(plan: TransportPlan, tol: float = 1e-9) -> bool:
     """True iff all boundary entries ship to/from nearest boundary points."""
+    tol = _check_tol(tol)
     return boundary_shipping_violation(plan) <= tol
 
 
@@ -400,9 +414,11 @@ def certify_optimal(
     the atoms of mu and nu, at the same points, with masses equal to a
     relative 1e-10 (:func:`measures.measures_close`); otherwise returns the
     aggregated report, with the exact duality-gap bound on the plan's cost
-    (see :func:`duality_gap_violation`).  No solver is called.
+    (see :func:`duality_gap_violation`).  No solver is called.  A negative
+    or non-finite ``tol`` raises ValueError.
     """
     p = check_exponent(p)
+    tol = _check_tol(tol)
     if plan.pair != mu.pair or plan.pair != nu.pair:
         raise PairMismatchError("plan and measures live on different metric pairs")
     margins = marginals(plan)

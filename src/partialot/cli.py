@@ -6,6 +6,7 @@ mismatched inputs, 3 failing optimality certificate.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,9 +176,9 @@ def _cmd_diagram_dist(args) -> int:
     pair = matching.pair
     moves = []
     for s, d, m in matching.entries:
-        if pair.in_A(s):
+        if pair._in_A(s):
             moves.append(("insert", list(d)))
-        elif pair.in_A(d):
+        elif pair._in_A(d):
             moves.append(("delete", list(s)))
         else:
             moves.append(("match", list(s), list(d)))
@@ -212,7 +213,9 @@ def _cmd_self_test(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI parser, built once per process: parse_args does not change it."""
     parser = _Parser(prog="partialot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

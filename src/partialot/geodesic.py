@@ -45,7 +45,8 @@ def interpolate_detail(path: GeodesicPath, t):
 
     Every plan entry contributes an atom at the segment point; atoms in A
     (``pair.in_A``) are removed (the restriction to Omega), which only
-    happens for boundary edges near their endpoints.
+    happens for boundary edges near their endpoints.  The plan's endpoints
+    are already validated; each segment point is validated once.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -54,7 +55,7 @@ def interpolate_detail(path: GeodesicPath, t):
     kept = []
     dropped = 0.0
     for x, y, m in path.plan.entries:
-        pt = pair.geo_point(x, y, t)
+        pt = pair._geo_point(x, y, t)
         if pair.in_A(pt):
             dropped += m
         else:
@@ -167,21 +168,21 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
 
     receivers = {}
     for x, y, m in detail.plan.entries:
-        if not pair.in_A(y):
+        if not pair._in_A(y):
             receivers.setdefault(y, set()).add(x)
     map_induced = all(len(srcs) == 1 for srcs in receivers.values())
 
     extended = []
     valid = True
     for x, w, m in detail.plan.entries:
-        if pair.in_A(w):
+        if pair._in_A(w):
             continue  # mass parked on A by t0 never reaches t = 1
         try:
             z = pair.validate_point(tuple(xc + (wc - xc) / t0 for xc, wc in zip(x, w)))
         except InvalidPointError:
             valid = False
             break
-        if not pair.in_A(z):
+        if not pair._in_A(z):
             extended.append((z, m))
     endpoint_reproduced = False
     if valid:

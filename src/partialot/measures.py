@@ -16,7 +16,13 @@ from .pairs import HalfPlanePair, MetricPair, as_number
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """A finitely supported measure on Omega: canonical sorted atom tuple."""
+    """A finitely supported measure on Omega: canonical sorted atom tuple.
+
+    A measure built by :func:`new_measure`, loaded by ``partialot.io`` or
+    returned by the package holds points validated against ``pair``, so the
+    package reads them with the pair's private twins without validating
+    again.  The dataclass constructor itself validates nothing.
+    """
 
     pair: MetricPair
     atoms: tuple  # ((point, mass), ...) merged by point, sorted
@@ -46,8 +52,9 @@ def _canonical_atoms(raw) -> tuple:
 def new_measure(pair, atoms) -> DiscreteMeasure:
     """Build a measure from (point, mass) pairs.
 
-    Duplicate points are allowed and merged (multiset semantics).  Atoms with
-    a non-positive or infinite mass, or in A (``pair.in_A``), are rejected.
+    Duplicate points are allowed and merged (multiset semantics).  Each
+    point is validated once.  Atoms with a non-positive or infinite mass, or
+    in A (``pair.in_A``), are rejected.
     An empty atom list yields the zero measure.
     """
     checked = []
@@ -58,7 +65,7 @@ def new_measure(pair, atoms) -> DiscreteMeasure:
             raise NonPositiveMassError(f"atom at {pt!r} has non-positive mass {mass}")
         if mass == math.inf:
             raise NonPositiveMassError(f"atom at {pt!r} has infinite mass")
-        if pair.in_A(pt):
+        if pair._in_A(pt):
             raise AtomOnBoundaryError(f"atom at {pt!r} lies on the boundary set A")
         checked.append((pt, mass))
     return DiscreteMeasure(pair, _canonical_atoms(checked))
@@ -74,7 +81,7 @@ def p_energy(mu: DiscreteMeasure, p) -> float:
     Its p-th root is the distance from mu to the zero measure.
     """
     p = check_exponent(p)
-    return sum(m * mu.pair.dist_to_A(pt) ** p for pt, m in mu.atoms)
+    return sum(m * mu.pair._dist_to_A(pt) ** p for pt, m in mu.atoms)
 
 
 def truncate(mu: DiscreteMeasure, r) -> DiscreteMeasure:
@@ -85,13 +92,18 @@ def truncate(mu: DiscreteMeasure, r) -> DiscreteMeasure:
     r = float(r)
     if not r > 0.0:
         raise ValueError(f"truncation radius must be positive, got {r}")
-    kept = tuple((pt, m) for pt, m in mu.atoms if mu.pair.dist_to_A(pt) > r)
+    kept = tuple((pt, m) for pt, m in mu.atoms if mu.pair._dist_to_A(pt) > r)
     return DiscreteMeasure(mu.pair, kept)
 
 
 @dataclass(frozen=True)
 class PersistenceDiagram:
-    """A finite multiset of off-boundary points, one unit of mass each."""
+    """A finite multiset of off-boundary points, one unit of mass each.
+
+    Built by :func:`new_diagram` or loaded by ``partialot.io``, its points
+    are validated against ``pair``, as a :class:`DiscreteMeasure`'s are; the
+    dataclass constructor itself validates nothing.
+    """
 
     pair: MetricPair
     points: tuple  # sorted, with multiplicity
@@ -111,7 +123,7 @@ def new_diagram(points, pair=None) -> PersistenceDiagram:
     checked = []
     for pt in points:
         pt = pair.validate_point(pt)
-        if pair.in_A(pt):
+        if pair._in_A(pt):
             raise AtomOnBoundaryError(f"diagram point {pt!r} lies on the boundary set A")
         checked.append(pt)
     return PersistenceDiagram(pair, tuple(sorted(checked)))

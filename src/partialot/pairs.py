@@ -43,10 +43,13 @@ _SQRT2 = math.sqrt(2.0)
 class MetricPair:
     """Common interface of the pair catalogue.
 
-    Subclasses provide ``validate_point``, ``_distance`` and ``_dist_to_A``
-    (on validated points), ``project_A`` and, when ``geodesic_capable``,
-    ``geo_point``.  :meth:`cost_matrix` builds the whole boundary-augmented
-    matrix of transport costs in one pass that validates each atom once.
+    Subclasses provide ``validate_point`` and, on validated points,
+    ``_distance``, ``_dist_to_A``, ``_project_A`` and, when
+    ``geodesic_capable``, ``_geo_point``.  Each public method validates its
+    points, then calls its private twin; the package calls the twins itself
+    on points it has already validated.  :meth:`cost_matrix` builds the
+    whole boundary-augmented matrix of transport costs in one pass that
+    validates each atom once.
     Every cell is a dyadic rational, because every input is a float: the
     float cost read exactly, or genuinely exact arithmetic for p = 2 on the
     Euclidean pairs and integer p on finite pairs.  ``cost_cell`` and
@@ -65,6 +68,17 @@ class MetricPair:
     def _dist_to_A(self, x) -> float:
         raise NotImplementedError
 
+    def _project_A(self, x) -> Point:
+        raise NotImplementedError
+
+    def _in_A(self, x) -> bool:
+        return self._dist_to_A(x) <= DEFAULT_MEMBERSHIP_TOL
+
+    def _geo_point(self, x, y, t: float) -> Point:
+        raise UnsupportedPairError(
+            f"pair kind {self.kind!r} does not support geodesic evaluation"
+        )
+
     def distance(self, x, y) -> float:
         return self._distance(self.validate_point(x), self.validate_point(y))
 
@@ -72,18 +86,19 @@ class MetricPair:
         return self._dist_to_A(self.validate_point(x))
 
     def project_A(self, x) -> Point:
-        raise NotImplementedError
+        """A nearest point of A to x."""
+        return self._project_A(self.validate_point(x))
 
     def in_A(self, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         """True iff x is within tol of the boundary set A."""
         if tol < 0:
             raise ValueError("membership tolerance must be >= 0")
-        return self.dist_to_A(x) <= tol
+        return self._dist_to_A(self.validate_point(x)) <= tol
 
     def geo_point(self, x, y, t: float) -> Point:
-        raise UnsupportedPairError(
-            f"pair kind {self.kind!r} does not support geodesic evaluation"
-        )
+        """The point at time t in [0, 1] on the segment from x to y."""
+        t = _check_t(t)
+        return self._geo_point(self.validate_point(x), self.validate_point(y), t)
 
     def cost_matrix(self, xs, ys, p) -> tuple:
         """The boundary-augmented cost matrix as ``(cells, scale)``.
@@ -201,15 +216,14 @@ class HalfPlanePair(MetricPair):
         a, b = x
         return max(0.0, b - a) / _SQRT2
 
-    def project_A(self, x) -> tuple:
-        a, b = self.validate_point(x)
+    def _project_A(self, x) -> tuple:
+        a, b = x
         mid = 0.5 * (a + b)
         return (mid, mid)
 
-    def geo_point(self, x, y, t: float) -> tuple:
-        t = _check_t(t)
-        xa, xb = self.validate_point(x)
-        ya, yb = self.validate_point(y)
+    def _geo_point(self, x, y, t: float) -> tuple:
+        xa, xb = x
+        ya, yb = y
         s = 1.0 - t
         return (s * xa + t * ya, s * xb + t * yb)
 
@@ -284,8 +298,7 @@ class EuclideanBoxPair(MetricPair):
             best = min(best, c - l, h - c)
         return max(0.0, best)
 
-    def project_A(self, x) -> tuple:
-        coords = self.validate_point(x)
+    def _project_A(self, coords) -> tuple:
         # Among nearest face projections pick the lexicographically smallest
         # projected point, for determinism under exact ties.
         best = None
@@ -297,12 +310,9 @@ class EuclideanBoxPair(MetricPair):
                     best = key
         return best[1]
 
-    def geo_point(self, x, y, t: float) -> tuple:
-        t = _check_t(t)
-        xs = self.validate_point(x)
-        ys = self.validate_point(y)
+    def _geo_point(self, x, y, t: float) -> tuple:
         s = 1.0 - t
-        return tuple(s * a + t * b for a, b in zip(xs, ys))
+        return tuple(s * a + t * b for a, b in zip(x, y))
 
     def cost_matrix(self, xs, ys, p) -> tuple:
         """At p = 2 the exact squares |x - y|^2 and d(x, A)^2 in int arithmetic."""
@@ -391,10 +401,9 @@ class FinitePair(MetricPair):
     def _dist_to_A(self, x) -> float:
         return min(self.table[x][a] for a in self.subset)
 
-    def project_A(self, x) -> int:
-        i = self.validate_point(x)
+    def _project_A(self, x) -> int:
         # Smallest index among nearest boundary points.
-        return min(self.subset, key=lambda a: (self.table[i][a], a))
+        return min(self.subset, key=lambda a: (self.table[x][a], a))
 
     def cost_matrix(self, xs, ys, p) -> tuple:
         """At integer p the exact powers (n / d)^p = n^p / d^p of the table entries."""

@@ -23,7 +23,11 @@ from .pairs import MetricPair, as_number
 class TransportPlan:
     """Finitely supported plan; entries merged by (source, target), sorted.
 
-    ``p`` records the exponent the plan was built for (informational).
+    ``p`` records the exponent the plan was built for (informational).  A
+    plan built by :func:`new_plan`, loaded by ``partialot.io`` or returned
+    by the package has endpoints validated against ``pair``, which the
+    package then reads with the pair's private twins; the dataclass
+    constructor itself validates nothing.
     """
 
     pair: MetricPair
@@ -47,19 +51,23 @@ def new_plan(pair, entries, p) -> TransportPlan:
 
     Entries with a non-positive or infinite mass, or with both endpoints in
     A (plans live on X x X minus A x A), are rejected; duplicate (source,
-    target) pairs are merged.
+    target) pairs are merged.  Each endpoint is validated once.
     """
     p = check_exponent(p)
+    validate = pair.validate_point
+    return _plan(pair, ((validate(s), validate(d), m) for s, d, m in entries), p)
+
+
+def _plan(pair, entries, p: float) -> TransportPlan:
+    """:func:`new_plan` on validated endpoints and a checked exponent."""
     merged = {}
     for src, dst, mass in entries:
-        src = pair.validate_point(src)
-        dst = pair.validate_point(dst)
         mass = as_number(mass)
         if not mass > 0.0:
             raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has non-positive mass {mass}")
         if mass == math.inf:
             raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has infinite mass")
-        if pair.in_A(src) and pair.in_A(dst):
+        if pair._in_A(src) and pair._in_A(dst):
             raise ValueError(f"entry {src!r} -> {dst!r} is supported on A x A")
         merged[(src, dst)] = merged.get((src, dst), 0.0) + mass
     # A tuple of a list, not of a generator: a generator's tuple is resized
@@ -72,7 +80,7 @@ def new_plan(pair, entries, p) -> TransportPlan:
 def cost(plan: TransportPlan, p) -> float:
     """Total transport cost: sum of mass * d(source, target)^p."""
     p = check_exponent(p)
-    return sum(m * plan.pair.distance(s, d) ** p for s, d, m in plan.entries)
+    return sum(m * plan.pair._distance(s, d) ** p for s, d, m in plan.entries)
 
 
 def marginals(plan: TransportPlan):
@@ -81,9 +89,9 @@ def marginals(plan: TransportPlan):
     mu_atoms = []
     nu_atoms = []
     for s, d, m in plan.entries:
-        if not pair.in_A(s):
+        if not pair._in_A(s):
             mu_atoms.append((s, m))
-        if not pair.in_A(d):
+        if not pair._in_A(d):
             nu_atoms.append((d, m))
     return (
         DiscreteMeasure(pair, _canonical_atoms(mu_atoms)),
@@ -101,8 +109,8 @@ def decompose(plan: TransportPlan):
     interior, outgoing, incoming = [], [], []
     for entry in plan.entries:
         s, d, _ = entry
-        s_in = pair.in_A(s)
-        d_in = pair.in_A(d)
+        s_in = pair._in_A(s)
+        d_in = pair._in_A(d)
         if not s_in and not d_in:
             interior.append(entry)
         elif not s_in:
@@ -157,13 +165,13 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     defect23 = {}
 
     for s, d, m in plan12.entries:
-        if pair.in_A(d):
+        if pair._in_A(d):
             triples.append((s, d, d, m))
             defect23[d] = defect23.get(d, 0.0) + m
         else:
             incoming.setdefault(d, []).append((s, m))
     for s, d, m in plan23.entries:
-        if pair.in_A(s):
+        if pair._in_A(s):
             triples.append((s, s, d, m))
             defect12[s] = defect12.get(s, 0.0) + m
         else:
@@ -202,7 +210,7 @@ def _project(glued: GluedPlan, first: int, last: int):
     for triple in glued.triples:
         a, b = triple[first], triple[last]
         m = triple[3]
-        if pair.in_A(a) and pair.in_A(b):
+        if pair._in_A(a) and pair._in_A(b):
             # Pairs landing in A x A sit on the diagonal by construction.
             diag[a] = diag.get(a, 0.0) + m
         else:

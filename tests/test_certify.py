@@ -195,6 +195,26 @@ def test_certify_optimal_rejects_canonical_suboptimal_plan():
     assert not report.cyclically_monotone
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+def test_certificate_tolerance_must_be_finite_and_non_negative(tol):
+    mu = new_measure(HP, [((0, 1), 1.0)])
+    nu = new_measure(HP, [((0, 3), 1.0)])
+    r = solve(mu, nu, 2)
+    # A suboptimal plan: an infinite tolerance would pass it, NaN fail anything.
+    canonical = new_plan(HP, [((0, 1), (0.5, 0.5), 1.0), ((1.5, 1.5), (0, 3), 1.0)], 2)
+    checks = [
+        lambda: certify_optimal(mu, nu, canonical, r.duals, 2, tol=tol),
+        lambda: check_concentrated_on_S(r.plan, 2, tol=tol),
+        lambda: check_potentials(r.plan, r.duals, 2, tol=tol),
+        lambda: check_boundary_shipping(canonical, tol=tol),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="tolerance"):
+            check()
+    assert certify_optimal(mu, nu, r.plan, r.duals, 2, tol=0.0).all_passed()
+    assert not certify_optimal(mu, nu, canonical, r.duals, 2, tol=1e300).all_passed()
+
+
 def test_certify_optimal_zero_vs_zero():
     z = zero_measure(HP)
     r = solve(z, z, 2)

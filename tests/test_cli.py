@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -13,7 +15,7 @@ from partialot import (
     zero_measure,
 )
 from partialot import io as pot_io
-from partialot.cli import main
+from partialot.cli import _build_parser, main
 
 HP = HalfPlanePair()
 
@@ -90,6 +92,18 @@ def test_certify_failing_plan_exits_3(measures, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cyclically_monotone"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_certify_bad_tolerance_is_a_usage_error(measures, tmp_path, capsys, tol):
+    a, b = measures
+    plan_file = str(tmp_path / "out.plan")
+    assert main(["plan", "--p", "2", a, b, "-o", plan_file]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--p", "2", "--tol", tol, a, b, plan_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "tolerance" in captured.err
+
+
 def test_certify_without_duals_exits_2(measures, tmp_path, capsys):
     a, b = measures
     plan_file = str(tmp_path / "bare.plan")
@@ -156,6 +170,32 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dist"])  # missing positional arguments
     assert exc.value.code == 1
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process call of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_serves_every_call_alike(measures, tmp_path):
+    a, b = measures
+    plan_file = str(tmp_path / "out.plan")
+    assert main(["plan", "--p", "2", a, b, "-o", plan_file, "--format", "machine"]) == 0
+    dist = ["dist", "--p", "2", "--format", "machine", a, b]
+    certify = ["certify", "--p", "2", a, b, plan_file]
+    first = [_run(dist), _run(certify)]
+    assert [code for code, _, _ in first] == [0, 0]
+    code, out, err = _run(["dist", "--p", "2", a])  # missing measure_b
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: partialot dist") and "error:" in err
+    assert [_run(dist), _run(certify)] == first
+    assert _build_parser() is _build_parser()
 
 
 def test_non_integer_point_index_exits_1(tmp_path, capsys):
