@@ -5,14 +5,14 @@ Solves the balanced transportation problem
     min  sum_ij cost[i][j] * f[i][j]
     s.t. sum_j f[i][j] = supply[i],  sum_i f[i][j] = demand[j],  f >= 0
 
-with all data given as :class:`~fractions.Fraction` (floats should be
-converted by the caller; the conversion is exact).  The costs are multiplied
-by the least common denominator of the cost cells and the masses by that of
-the supplies and demands, so the pivot loop adds, subtracts and compares
-Python ``int`` only.  Scaling costs by a positive constant scales every
-reduced cost alike, and scaling masses scales every flow alike, so each
-comparison, and hence each pivot, is the one the rational simplex would make.
-The flows and potentials are divided back once at the end and are exact.
+with all data given as Python ``int``, so the pivot loop adds, subtracts and
+compares ints only, and the flows and potentials it returns are ints too.
+Callers with rational data scale it first: the costs by one positive
+constant and the masses by another.  Scaling costs scales every reduced cost
+alike, and scaling masses scales every flow alike, so each comparison, and
+hence each pivot, is the one the rational simplex would make, and dividing
+the flows and potentials back by the two scales gives the exact rational
+answer.
 
 The basis is a spanning tree over the m sources and n sinks, rooted at
 source 0 with potential 0 and stored as parent pointers, depths and child
@@ -40,36 +40,27 @@ row-major index among the minimum-ratio candidates.  Every rule is
 deterministic, so the selected optimal vertex is reproducible.
 """
 
-from fractions import Fraction
-from math import lcm, sqrt
+from math import sqrt
 from operator import sub
 
 
 def solve_transportation(supply, demand, cost):
     """Solve the balanced transportation problem exactly.
 
-    Parameters are sequences of Fractions: ``supply`` (length m), ``demand``
-    (length n) and ``cost`` an m x n matrix.  Returns a tuple
-    ``(flows, u, v, alt)`` where ``flows`` maps ``(i, j)`` to the positive
-    flow on that cell, ``u``/``v`` are exact dual potentials satisfying
-    ``u[i] + v[j] <= cost[i][j]`` everywhere with equality on every cell of
-    the final basis (hence on every positive flow), and ``alt`` counts
-    non-basic cells with zero reduced cost (witnesses of alternate optima).
+    Parameters are ints: ``supply`` (length m) and ``demand`` (length n),
+    non-negative with equal sums, and ``cost`` an m x n matrix.  Returns a
+    tuple ``(flows, u, v, alt)`` of ints where ``flows`` maps ``(i, j)`` to
+    the positive flow on that cell, ``u``/``v`` are dual potentials
+    satisfying ``u[i] + v[j] <= cost[i][j]`` everywhere with equality on
+    every cell of the final basis (hence on every positive flow), and
+    ``alt`` counts non-basic cells with zero reduced cost (witnesses of
+    alternate optima).
     """
     m, n = len(supply), len(demand)
     if m == 0 or n == 0:
-        if any(s != 0 for s in supply) or any(d != 0 for d in demand):
+        if any(supply) or any(demand):
             raise ValueError("empty side of an unbalanced transportation problem")
-        return {}, [Fraction(0)] * m, [Fraction(0)] * n, 0
-
-    # Lists, not generators: a tuple built from a generator is resized, and
-    # freeing it fills the interpreter's per-size tuple free lists, which
-    # then hold memory for the rest of the process.
-    mass_scale = lcm(*[x.denominator for side in (supply, demand) for x in side])
-    cost_scale = lcm(*[c.denominator for row in cost for c in row])
-    supply = [s.numerator * (mass_scale // s.denominator) for s in supply]
-    demand = [d.numerator * (mass_scale // d.denominator) for d in demand]
-    cost = [[c.numerator * (cost_scale // c.denominator) for c in row] for row in cost]
+        return {}, [0] * m, [0] * n, 0
     if sum(supply) != sum(demand):
         raise ValueError("transportation problem is not balanced")
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
@@ -93,13 +84,8 @@ def solve_transportation(supply, demand, cost):
     zeros = sum(list(map(sub, cost_i, v)).count(ui) for cost_i, ui in zip(cost, u))
     alt = zeros - (m + n - 1)
 
-    flows = {cell: Fraction(f, mass_scale) for cell, f in tree.flow.items() if f > 0}
-    return (
-        flows,
-        [Fraction(x, cost_scale) for x in u],
-        [Fraction(x, cost_scale) for x in v],
-        alt,
-    )
+    flows = {cell: f for cell, f in tree.flow.items() if f > 0}
+    return flows, u, v, alt
 
 
 def _entering(cost, u, v, start, block, bland):

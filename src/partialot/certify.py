@@ -35,6 +35,7 @@ from .errors import (
     MissingPotentialError,
     PairMismatchError,
     check_exponent,
+    check_tol,
 )
 from .measures import DiscreteMeasure, measures_close
 from .plans import TransportPlan, decompose, marginals
@@ -59,17 +60,6 @@ class CertificateReport:
             and self.boundary_shipping
             and self.cost_optimal
         )
-
-
-def _check_tol(tol) -> float:
-    """``tol`` as a float, or ValueError unless it is finite and >= 0.
-
-    NaN would fail every check and an infinite tolerance pass every one.
-    """
-    tol = float(tol)
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"certificate tolerance must be finite and >= 0, got {tol}")
-    return tol
 
 
 def _scaled(violation: float, magnitude: float) -> float:
@@ -133,7 +123,7 @@ def _concentration(cells, scale: int, support) -> float:
 
 def check_concentrated_on_S(plan: TransportPlan, p, tol: float = 1e-8) -> bool:
     """True iff every interior entry lies in S within tol; boundary entries pass."""
-    tol = _check_tol(tol)
+    tol = check_tol(tol, "certificate tolerance")
     return concentration_violation(plan, p) <= tol
 
 
@@ -320,7 +310,7 @@ def _potentials(box, support) -> float:
 
 def check_potentials(plan: TransportPlan, duals, p, tol: float = 1e-9) -> bool:
     """True iff the potentials are feasible and complementarily slack within tol."""
-    tol = _check_tol(tol)
+    tol = check_tol(tol, "certificate tolerance")
     return potentials_violation(plan, duals, p) <= tol
 
 
@@ -344,7 +334,7 @@ def _shipping(pair, outgoing: TransportPlan, incoming: TransportPlan) -> float:
 
 def check_boundary_shipping(plan: TransportPlan, tol: float = 1e-9) -> bool:
     """True iff all boundary entries ship to/from nearest boundary points."""
-    tol = _check_tol(tol)
+    tol = check_tol(tol, "certificate tolerance")
     return boundary_shipping_violation(plan) <= tol
 
 
@@ -418,7 +408,7 @@ def certify_optimal(
     or non-finite ``tol`` raises ValueError.
     """
     p = check_exponent(p)
-    tol = _check_tol(tol)
+    tol = check_tol(tol, "certificate tolerance")
     if plan.pair != mu.pair or plan.pair != nu.pair:
         raise PairMismatchError("plan and measures live on different metric pairs")
     margins = marginals(plan)

@@ -57,3 +57,15 @@ def check_exponent(p) -> float:
     if not math.isfinite(p) or p < 1.0:
         raise PartialOTError(f"exponent p must be a finite real >= 1, got {p!r}")
     return p
+
+
+def check_tol(tol, what: str) -> float:
+    """``tol`` as a float, or ValueError unless it is finite and >= 0.
+
+    A tolerance decides a comparison: NaN would fail every one and an
+    infinite tolerance pass every one.  ``what`` names it in the message.
+    """
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{what} must be finite and >= 0, got {tol}")
+    return tol

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError
+from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError, check_tol
 
 Point = "tuple[float, ...] | int"
 
@@ -91,8 +91,7 @@ class MetricPair:
 
     def in_A(self, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         """True iff x is within tol of the boundary set A."""
-        if tol < 0:
-            raise ValueError("membership tolerance must be >= 0")
+        tol = check_tol(tol, "membership tolerance")
         return self._dist_to_A(self.validate_point(x)) <= tol
 
     def geo_point(self, x, y, t: float) -> Point:

@@ -10,18 +10,21 @@ boundary node per side:
 
 The boundary source supplies the total mass of the sink measure and the
 boundary sink demands the total mass of the source measure, which balances
-the problem without changing the optimal value.  Solving it exactly (see
-``_simplex``) yields Wb_p^p as the optimal value, an optimal plan whose
+the problem without changing the optimal value.  The masses go on one
+integer scale and the cost cells on another, the integer simplex of
+``_simplex`` solves it exactly, and one correctly rounded division per value
+at the end yields Wb_p^p as the optimal value, an optimal plan whose
 boundary flows are re-expanded to per-point projections, and dual
 potentials that vanish on A after normalisation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from ._simplex import solve_transportation
-from .errors import FloatRangeError, PairMismatchError, check_exponent
+from .errors import FloatRangeError, PairMismatchError, check_exponent, check_tol
 from .measures import DiscreteMeasure, PersistenceDiagram, diagram_to_measure
 # new_plan stays importable here: the benchmark's tracer wraps it by this name.
 from .plans import TransportPlan, _plan, new_plan  # noqa: F401
@@ -46,8 +49,7 @@ def in_S(pair, x, y, p, tol: float = 1e-9) -> bool:
 
     Optimal plans only charge pairs in this set.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    tol = check_tol(tol, "tolerance")
     return cost_c(pair, x, y, p) - cost_ctilde(pair, x, y, p) <= tol
 
 
@@ -97,10 +99,6 @@ def _require_same_pair(mu: DiscreteMeasure, nu: DiscreteMeasure):
         raise PairMismatchError("measures live on different metric pairs")
 
 
-def _exact_total(mu: DiscreteMeasure) -> Fraction:
-    return sum((Fraction(m) for _, m in mu.atoms), start=Fraction(0))
-
-
 def build_augmented_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> AugmentedProblem:
     """Assemble the boundary-augmented cost matrix and side masses."""
     _require_same_pair(mu, nu)
@@ -129,26 +127,32 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     pair = mu.pair
     m, n = len(mu.atoms), len(nu.atoms)
 
-    supply = [Fraction(mass) for _, mass in mu.atoms]
-    supply.append(_exact_total(nu))
-    demand = [Fraction(mass) for _, mass in nu.atoms]
-    demand.append(_exact_total(mu))
+    # Masses as ints over one scale (the lcm of their denominators), cost
+    # cells over another; each boundary node carries the other side's exact
+    # total.  Lists, not generators, in lcm(*...): see build_augmented_problem.
+    ratios = [mass.as_integer_ratio() for atoms in (mu.atoms, nu.atoms) for _, mass in atoms]
+    mass_scale = lcm(*[d for _, d in ratios])
+    masses = [a * (mass_scale // d) for a, d in ratios]
+    supply = masses[:m] + [sum(masses[m:])]
+    demand = masses[m:] + [sum(masses[:m])]
+    cost_scale = lcm(*[c.denominator for row in problem.cost_exact for c in row])
+    cost = [
+        [c.numerator * (cost_scale // c.denominator) for c in row] for row in problem.cost_exact
+    ]
 
-    flows, u, v, alt = solve_transportation(supply, demand, problem.cost_exact)
+    flows, u, v, alt = solve_transportation(supply, demand, cost)
 
-    total = sum(
-        (f * problem.cost_exact[i][j] for (i, j), f in flows.items()),
-        start=Fraction(0),
-    )
+    total = sum(f * cost[i][j] for (i, j), f in flows.items())
     # Shift the raw transportation duals so the boundary potentials vanish:
     # phi = u + v_boundary, psi = v + u_boundary.  Feasibility and
     # complementary slackness carry over exactly (the corner cell has cost 0).
+    # Int true division rounds correctly, as float(Fraction) does.
     v_b = v[n]
     u_b = u[m]
     try:
-        wb = float(total) ** (1.0 / p)
-        phi = {mu.atoms[i][0]: float(u[i] + v_b) for i in range(m)}
-        psi = {nu.atoms[j][0]: float(v[j] + u_b) for j in range(n)}
+        wb = (total / (mass_scale * cost_scale)) ** (1.0 / p)
+        phi = {mu.atoms[i][0]: (u[i] + v_b) / cost_scale for i in range(m)}
+        psi = {nu.atoms[j][0]: (v[j] + u_b) / cost_scale for j in range(n)}
     except OverflowError as exc:
         raise FloatRangeError(f"value out of the float range: {exc}") from exc
 
@@ -157,13 +161,13 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     entries = []
     for (i, j), f in flows.items():
         if i < m and j < n:
-            entries.append((mu.atoms[i][0], nu.atoms[j][0], float(f)))
+            entries.append((mu.atoms[i][0], nu.atoms[j][0], f / mass_scale))
         elif i < m:
             x = mu.atoms[i][0]
-            entries.append((x, pair._project_A(x), float(f)))
+            entries.append((x, pair._project_A(x), f / mass_scale))
         elif j < n:
             y = nu.atoms[j][0]
-            entries.append((pair._project_A(y), y, float(f)))
+            entries.append((pair._project_A(y), y, f / mass_scale))
         # boundary-to-boundary slack is dropped
     plan = _plan(pair, entries, p)
     return SolveDetail(wb, plan, DualPotentials(phi, psi), alt > 0)

@@ -3,9 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import partialot
 from partialot import (
     HalfPlanePair,
     curvature_comparison,
@@ -279,3 +284,22 @@ def test_self_test_quick(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS criterion") == 10
     assert "self-test PASSED" in out
+
+
+def test_cli_import_leaves_the_self_test_suite_unloaded():
+    code = "import sys, partialot.cli; print('partialot.selftest' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(partialot.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+def test_self_test_seed_defaults_to_the_suite_seed(monkeypatch, capsys):
+    from partialot import selftest
+
+    seeds = []
+    monkeypatch.setattr(selftest, "run_all", lambda seed, quick: seeds.append(seed) or [])
+    assert main(["self-test", "--quick", "--format", "machine"]) == 0
+    assert seeds == [selftest.DEFAULT_SEED]
+    assert json.loads(capsys.readouterr().out)["seed"] == selftest.DEFAULT_SEED

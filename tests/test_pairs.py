@@ -85,6 +85,14 @@ def test_in_A_examples():
     assert FIN.in_A(0) and FIN.in_A(1) and not FIN.in_A(2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("pair, x", [(HP, (1.0, 1.0)), (HP, (0.0, 5.0)), (BOX, (2.0, 2.0)), (FIN, 2)])
+def test_in_A_tolerance_must_be_finite_and_non_negative(pair, x, tol):
+    # NaN would put no point in A, an infinite tolerance every point.
+    with pytest.raises(ValueError, match="membership tolerance"):
+        pair.in_A(x, tol)
+
+
 def test_geo_point_examples():
     assert HP.geo_point((0, 1), (0, 3), 0.5) == (0.0, 2.0)
     assert HP.geo_point((0, 1), (0, 3), 0.0) == (0.0, 1.0)

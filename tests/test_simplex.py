@@ -1,5 +1,9 @@
 """Tests for the exact transportation simplex.
 
+``solve_transportation`` works on ints; the tests with rational data go
+through ``exact_reference.solve_fractions``, which scales them to ints and
+divides the answers back.
+
 The pinned answers in ``data/simplex_golden.json`` were rewritten when the
 row-minimum start and block-search pricing replaced the north-west corner
 and the full most-negative scan.  A pricing or start rule may change only
@@ -21,27 +25,14 @@ import pytest
 from partialot import EuclideanBoxPair, HalfPlanePair, new_measure, solve
 from partialot._simplex import _BasisTree, _entering, _row_minimum, solve_transportation
 from partialot.certify import duality_gap_violation
-from partialot.solver import build_augmented_problem
+
+from exact_reference import augmented as _augmented
+from exact_reference import check_exact_optimality as _check_exact_optimality
+from exact_reference import network_simplex_value, solve_fractions, to_ints
 
 GOLDEN = Path(__file__).with_name("data") / "simplex_golden.json"
 HALF_PLANE = HalfPlanePair()
 BOX = EuclideanBoxPair((0.0, 0.0), (4.0, 4.0))
-
-
-def _check_exact_optimality(supply, demand, cost, flows, u, v):
-    m, n = len(supply), len(demand)
-    # conservation, exactly
-    for i in range(m):
-        assert sum(f for (a, _), f in flows.items() if a == i) == supply[i]
-    for j in range(n):
-        assert sum(f for (_, b), f in flows.items() if b == j) == demand[j]
-    # dual feasibility everywhere, complementary slackness on flows, exactly
-    for i in range(m):
-        for j in range(n):
-            assert u[i] + v[j] <= cost[i][j]
-    for (i, j), f in flows.items():
-        assert f > 0
-        assert u[i] + v[j] == cost[i][j]
 
 
 def _objective(flows, cost):
@@ -49,27 +40,25 @@ def _objective(flows, cost):
 
 
 def test_single_cell():
-    flows, u, v, alt = solve_transportation(
-        [Fraction(3)], [Fraction(3)], [[Fraction(7)]]
-    )
-    assert flows == {(0, 0): Fraction(3)}
-    assert u[0] + v[0] == Fraction(7)
+    flows, u, v, alt = solve_transportation([3], [3], [[7]])
+    assert flows == {(0, 0): 3}
+    assert u[0] + v[0] == 7
 
 
 def test_two_by_two_diagonal():
-    supply = [Fraction(1), Fraction(1)]
-    demand = [Fraction(1), Fraction(1)]
-    cost = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    supply = [1, 1]
+    demand = [1, 1]
+    cost = [[0, 1], [1, 0]]
     flows, u, v, alt = solve_transportation(supply, demand, cost)
     assert _objective(flows, cost) == 0
-    assert flows == {(0, 0): Fraction(1), (1, 1): Fraction(1)}
+    assert flows == {(0, 0): 1, (1, 1): 1}
     _check_exact_optimality(supply, demand, cost, flows, u, v)
 
 
 def test_textbook_instance():
-    supply = [Fraction(2), Fraction(3)]
-    demand = [Fraction(1), Fraction(4)]
-    cost = [[Fraction(4), Fraction(1)], [Fraction(2), Fraction(6)]]
+    supply = [2, 3]
+    demand = [1, 4]
+    cost = [[4, 1], [2, 6]]
     flows, u, v, alt = solve_transportation(supply, demand, cost)
     # optimum: route supply 0 to column 1 (cost 1), supply 1 covers the rest
     assert _objective(flows, cost) == 2 * 1 + 1 * 2 + 2 * 6
@@ -78,19 +67,19 @@ def test_textbook_instance():
 
 def test_unbalanced_rejected():
     with pytest.raises(ValueError, match="balanced"):
-        solve_transportation([Fraction(1)], [Fraction(2)], [[Fraction(0)]])
+        solve_transportation([1], [2], [[0]])
 
 
 def test_zero_problem():
-    flows, u, v, alt = solve_transportation([Fraction(0)], [Fraction(0)], [[Fraction(5)]])
+    flows, u, v, alt = solve_transportation([0], [0], [[5]])
     assert flows == {}
-    assert u[0] + v[0] <= Fraction(5)
+    assert u[0] + v[0] <= 5
 
 
 def test_degenerate_supplies():
-    supply = [Fraction(0), Fraction(2)]
-    demand = [Fraction(1), Fraction(1), Fraction(0)]
-    cost = [[Fraction(1)] * 3, [Fraction(2), Fraction(3), Fraction(9)]]
+    supply = [0, 2]
+    demand = [1, 1, 0]
+    cost = [[1] * 3, [2, 3, 9]]
     flows, u, v, alt = solve_transportation(supply, demand, cost)
     assert _objective(flows, cost) == 2 + 3
     _check_exact_optimality(supply, demand, cost, flows, u, v)
@@ -137,28 +126,17 @@ def test_random_integer_instances_match_enumeration():
         for _ in range(total):
             demand[rng.randrange(n)] += 1
         cost = [[rng.randint(0, 9) for _ in range(n)] for _ in range(m)]
-        flows, u, v, alt = solve_transportation(
-            [Fraction(s) for s in supply],
-            [Fraction(d) for d in demand],
-            [[Fraction(c) for c in row] for row in cost],
-        )
+        flows, u, v, alt = solve_transportation(supply, demand, cost)
         want = _brute_force_min(supply, demand, cost)
         assert _objective(flows, cost) == want
-        _check_exact_optimality(
-            [Fraction(s) for s in supply],
-            [Fraction(d) for d in demand],
-            [[Fraction(c) for c in row] for row in cost],
-            flows,
-            u,
-            v,
-        )
+        _check_exact_optimality(supply, demand, cost, flows, u, v)
 
 
 def test_fractional_masses_exact():
     supply = [Fraction(1, 3), Fraction(2, 3)]
     demand = [Fraction(1, 2), Fraction(1, 2)]
     cost = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]]
-    flows, u, v, alt = solve_transportation(supply, demand, cost)
+    flows, u, v, alt = solve_fractions(supply, demand, cost)
     _check_exact_optimality(supply, demand, cost, flows, u, v)
     # optimum: X00 = 1/3, X10 = 1/6, X11 = 1/2
     assert _objective(flows, cost) == Fraction(1, 3) + Fraction(1, 2) + Fraction(1, 2)
@@ -166,27 +144,19 @@ def test_fractional_masses_exact():
 
 def test_alternate_optimum_flagged():
     # all costs equal: any vertex is optimal, ties everywhere
-    supply = [Fraction(1), Fraction(1)]
-    demand = [Fraction(1), Fraction(1)]
-    cost = [[Fraction(1)] * 2 for _ in range(2)]
+    supply = [1, 1]
+    demand = [1, 1]
+    cost = [[1] * 2 for _ in range(2)]
     _, _, _, alt = solve_transportation(supply, demand, cost)
     assert alt > 0
     # strictly better diagonal: unique optimum, no ties
-    cost2 = [[Fraction(0), Fraction(5)], [Fraction(5), Fraction(0)]]
+    cost2 = [[0, 5], [5, 0]]
     _, _, _, alt2 = solve_transportation(supply, demand, cost2)
     assert alt2 == 0
 
 
 # ---------------------------------------------------------------------------
 # Pinned answers: flows (in basis order), potentials and alt counts.
-
-
-def _augmented(mu, nu, p):
-    """The transportation instance ``solve_detail`` hands to the simplex."""
-    problem = build_augmented_problem(mu, nu, p)
-    supply = [Fraction(m) for _, m in mu.atoms] + [sum(Fraction(m) for _, m in nu.atoms)]
-    demand = [Fraction(m) for _, m in nu.atoms] + [sum(Fraction(m) for _, m in mu.atoms)]
-    return supply, demand, problem.cost_exact
 
 
 def _general_measure(rng, pair, k):
@@ -255,8 +225,7 @@ def test_pinned_answers_are_bit_identical():
     scale = lcm(*(c.denominator for c in wide))
     assert max((c * scale).numerator.bit_length() for c in wide) > 1000
     for name, (supply, demand, cost) in instances.items():
-        flows, u, v, alt = solve_transportation(supply, demand, cost)
-        assert all(type(x) is Fraction for x in [*flows.values(), *u, *v]), name
+        flows, u, v, alt = solve_fractions(supply, demand, cost)
         assert _encode(flows, u, v, alt) == golden[name], name
         _check_exact_optimality(supply, demand, cost, flows, u, v)
 
@@ -277,7 +246,7 @@ def test_pinned_instances_take_fewer_pivots(monkeypatch):
 
     monkeypatch.setattr(_BasisTree, "pivot", counted)
     for supply, demand, cost in _pinned_instances().values():
-        solve_transportation(supply, demand, cost)
+        solve_fractions(supply, demand, cost)
     assert 0 < pivots < NORTHWEST_STEEPEST_PIVOTS
 
 
@@ -438,29 +407,15 @@ def test_optimal_value_matches_networkx(pair_name, n, p):
     rng = random.Random(f"{pair_name}/{n}/{p}")
     pair = HALF_PLANE if pair_name == "half_plane" else BOX
     mu, nu = _general_measure(rng, pair, n), _general_measure(rng, pair, n)
-    supply, demand, cost = _augmented(mu, nu, p)
+    supply, demand, cost, _, _ = to_ints(*_augmented(mu, nu, p))
     flows, u, v, _ = solve_transportation(supply, demand, cost)
-
-    # the same instance scaled to integers, as a min-cost flow
-    mass_scale = lcm(*(x.denominator for x in supply + demand))
-    cost_scale = lcm(*(c.denominator for row in cost for c in row))
-    graph = nx.DiGraph()
-    for i, s in enumerate(supply):
-        graph.add_node(("s", i), demand=-int(s * mass_scale))
-    for j, d in enumerate(demand):
-        graph.add_node(("t", j), demand=int(d * mass_scale))
-    for i, row in enumerate(cost):
-        for j, c in enumerate(row):
-            graph.add_edge(("s", i), ("t", j), weight=int(c * cost_scale))
-    nx_value, _ = nx.network_simplex(graph)
-
-    assert _objective(flows, cost) == Fraction(nx_value, mass_scale * cost_scale)
+    assert _objective(flows, cost) == network_simplex_value(nx, supply, demand, cost)
     _check_exact_optimality(supply, demand, cost, flows, u, v)
 
 
 if __name__ == "__main__":
     pinned = {
-        name: _encode(*solve_transportation(*instance))
+        name: _encode(*solve_fractions(*instance))
         for name, instance in _pinned_instances().items()
     }
     GOLDEN.parent.mkdir(exist_ok=True)

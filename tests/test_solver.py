@@ -60,6 +60,13 @@ def test_in_S_examples():
     assert in_S(HP, (0, 2), (0, 2), 2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_in_S_tolerance_must_be_finite_and_non_negative(tol):
+    # NaN would leave every pair out of S, an infinite tolerance put every pair in.
+    with pytest.raises(ValueError, match="tolerance"):
+        in_S(HP, (0, 1), (0, 3), 2, tol)
+
+
 def test_build_augmented_problem_example():
     mu = new_measure(HP, [((0, 1), 1.0)])
     nu = new_measure(HP, [((0, 3), 1.0)])
