@@ -354,14 +354,13 @@ def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
     plan's marginals by at most tol * (1 + optimum); whether those match
     the prescribed measures is checked apart.  Every float is dyadic, so
     all of this is integer arithmetic over powers of two.  A potential
-    missing for an atom counts as 0; a non-finite one makes the gap
-    infinite.
+    missing for an atom raises :class:`MissingPotentialError`; a non-finite
+    one makes the gap infinite.
     """
     p = check_exponent(p)
     xs, ys, cells, scale, support = _plan_cells(plan, marginals(plan), p)
-    phi = [duals.phi.get(x, 0.0) for x in xs]
-    psi = [duals.psi.get(y, 0.0) for y in ys]
-    return _duality_gap(plan, _one_ulp_box(cells, scale, support, phi, psi), support)
+    box = _one_ulp_box(cells, scale, support, *_potential_values(xs, ys, duals))
+    return _duality_gap(plan, box, support)
 
 
 def _duality_gap(plan: TransportPlan, box, support) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidPointError, UnsupportedPairError, check_exponent
 from .measures import DiscreteMeasure, _canonical_atoms, measures_close
+from .pairs import _check_t
 from .solver import solve, solve_detail, wb_distance
 
 
@@ -48,9 +49,7 @@ def interpolate_detail(path: GeodesicPath, t):
     happens for boundary edges near their endpoints.  The plan's endpoints
     are already validated; each segment point is validated once.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"interpolation time must lie in [0, 1], got {t}")
+    t = _check_t(t)
     pair = path.pair
     kept = []
     dropped = 0.0

@@ -149,7 +149,4 @@ def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, coord_tol: float, mas
 
 def diagram_to_measure(sigma: PersistenceDiagram) -> DiscreteMeasure:
     """Embed a diagram as the sum of unit Dirac masses at its points."""
-    counts = {}
-    for pt in sigma.points:
-        counts[pt] = counts.get(pt, 0.0) + 1.0
-    return DiscreteMeasure(sigma.pair, tuple(sorted(counts.items())))
+    return DiscreteMeasure(sigma.pair, _canonical_atoms((pt, 1.0) for pt in sigma.points))

@@ -8,6 +8,7 @@ CLI ``self-test`` command runs the same functions, optionally scaled down.
 All randomness is derived from an explicit seed, so runs are reproducible.
 """
 
+import functools
 import math
 import random
 import time
@@ -98,98 +99,95 @@ def _diagram_instances(seed, count):
         yield _random_diagram(rng, 4), _random_diagram(rng, 4), p
 
 
-def _triple_instances(seed, count, max_atoms=6, unit_mass=False):
+def _triple_instances(seed, count, max_atoms=6):
     rng = random.Random(seed * 1000 + 3)
     for k in range(count):
         pair = _HALF_PLANE if k % 2 == 0 else _BOX
         p = (1, 1.5, 2, 3)[k % 4]
         yield (
-            _random_measure(rng, pair, max_atoms, unit_mass),
-            _random_measure(rng, pair, max_atoms, unit_mass),
-            _random_measure(rng, pair, max_atoms, unit_mass),
+            _random_measure(rng, pair, max_atoms),
+            _random_measure(rng, pair, max_atoms),
+            _random_measure(rng, pair, max_atoms),
             p,
         )
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - start
+def _criterion(number, name):
+    """Make a body returning ``(worst, passed, detail)`` into a timed criterion."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def criterion(*args, **kwargs):
+            start = time.perf_counter()
+            worst, passed, detail = body(*args, **kwargs)
+            return CriterionResult(
+                number, name, passed, worst, detail, time.perf_counter() - start
+            )
+
+        return criterion
+
+    return decorate
 
 
-def criterion_oracle_equivalence(seed=DEFAULT_SEED, count=500) -> CriterionResult:
+@_criterion(1, "oracle-equivalence")
+def criterion_oracle_equivalence(seed=DEFAULT_SEED, count=500):
     """Solver agrees with the brute-force oracle on small unit-mass instances."""
-    def run():
-        worst = 0.0
-        for mu, nu, p in _oracle_instances(seed, count):
-            got = solve(mu, nu, p).wb ** p
-            want = brute_force_wb(mu, nu, p).value
-            worst = max(worst, abs(got - want))
-        return worst
-
-    worst, secs = _timed(run)
-    return CriterionResult(1, "oracle-equivalence", worst <= 1e-9, worst, f"{count} instances", secs)
+    worst = 0.0
+    for mu, nu, p in _oracle_instances(seed, count):
+        got = solve(mu, nu, p).wb ** p
+        want = brute_force_wb(mu, nu, p).value
+        worst = max(worst, abs(got - want))
+    return worst, worst <= 1e-9, f"{count} instances"
 
 
-def criterion_embedding(seed=DEFAULT_SEED, count=200) -> CriterionResult:
+@_criterion(2, "diagram-embedding")
+def criterion_embedding(seed=DEFAULT_SEED, count=200):
     """Diagram distance equals Wb_p on embedded measures and the oracle value."""
-    def run():
-        worst = 0.0
-        for sigma, tau, p in _diagram_instances(seed, count):
-            dp, _ = diagram_distance(sigma, tau, p)
-            via_measures = solve(diagram_to_measure(sigma), diagram_to_measure(tau), p).wb
-            worst = max(worst, abs(dp - via_measures))
-            want = brute_force_diagram(sigma, tau, p).value
-            worst = max(worst, abs(dp ** p - want))
-        return worst
-
-    worst, secs = _timed(run)
-    return CriterionResult(2, "diagram-embedding", worst <= 1e-9, worst, f"{count} diagram pairs", secs)
+    worst = 0.0
+    for sigma, tau, p in _diagram_instances(seed, count):
+        dp, _ = diagram_distance(sigma, tau, p)
+        via_measures = solve(diagram_to_measure(sigma), diagram_to_measure(tau), p).wb
+        worst = max(worst, abs(dp - via_measures))
+        want = brute_force_diagram(sigma, tau, p).value
+        worst = max(worst, abs(dp ** p - want))
+    return worst, worst <= 1e-9, f"{count} diagram pairs"
 
 
-def criterion_metric_axioms(seed=DEFAULT_SEED, count=200) -> CriterionResult:
+@_criterion(3, "metric-axioms")
+def criterion_metric_axioms(seed=DEFAULT_SEED, count=200):
     """Symmetry, vanishing self-distance, triangle inequality.
 
     Each axiom has its own tolerance (1e-10, 1e-10 and 1e-9 * (1 + scale));
     the reported worst value is the largest violation measured in units of
     its tolerance, so passing means worst <= 1.
     """
-    def run():
-        worst = 0.0
-        for mu1, mu2, mu3, p in _triple_instances(seed, count):
-            d12 = wb_distance(mu1, mu2, p)
-            d21 = wb_distance(mu2, mu1, p)
-            d23 = wb_distance(mu2, mu3, p)
-            d13 = wb_distance(mu1, mu3, p)
-            d11 = wb_distance(mu1, mu1, p)
-            scale = 1.0 + max(d12, d23, d13)
-            worst = max(worst, abs(d12 - d21) / 1e-10)
-            worst = max(worst, d11 / 1e-10)
-            worst = max(worst, (d13 - d12 - d23) / (1e-9 * scale))
-        return worst
-
-    worst, secs = _timed(run)
-    return CriterionResult(
-        3, "metric-axioms", worst <= 1.0, worst, f"{count} triples (worst in tolerance units)", secs
-    )
+    worst = 0.0
+    for mu1, mu2, mu3, p in _triple_instances(seed, count):
+        d12 = wb_distance(mu1, mu2, p)
+        d21 = wb_distance(mu2, mu1, p)
+        d23 = wb_distance(mu2, mu3, p)
+        d13 = wb_distance(mu1, mu3, p)
+        d11 = wb_distance(mu1, mu1, p)
+        scale = 1.0 + max(d12, d23, d13)
+        worst = max(worst, abs(d12 - d21) / 1e-10)
+        worst = max(worst, d11 / 1e-10)
+        worst = max(worst, (d13 - d12 - d23) / (1e-9 * scale))
+    return worst, worst <= 1.0, f"{count} triples (worst in tolerance units)"
 
 
-def criterion_distance_to_zero(seed=DEFAULT_SEED, count=100) -> CriterionResult:
+@_criterion(4, "distance-to-zero")
+def criterion_distance_to_zero(seed=DEFAULT_SEED, count=100):
     """Wb_p(mu, 0)^p equals the p-energy of mu."""
-    def run():
-        rng = random.Random(seed * 1000 + 4)
-        worst = 0.0
-        for k in range(count):
-            pair = _HALF_PLANE if k % 2 == 0 else _BOX
-            p = (1, 1.5, 2, 3)[k % 4]
-            mu = _random_measure(rng, pair, 6)
-            got = wb_distance(mu, zero_measure(pair), p) ** p
-            want = p_energy(mu, p)
-            worst = max(worst, abs(got - want) / (1.0 + want))
-        return worst
-
-    worst, secs = _timed(run)
-    return CriterionResult(4, "distance-to-zero", worst <= 1e-10, worst, f"{count} measures", secs)
+    rng = random.Random(seed * 1000 + 4)
+    worst = 0.0
+    for k in range(count):
+        pair = _HALF_PLANE if k % 2 == 0 else _BOX
+        p = (1, 1.5, 2, 3)[k % 4]
+        mu = _random_measure(rng, pair, 6)
+        got = wb_distance(mu, zero_measure(pair), p) ** p
+        want = p_energy(mu, p)
+        worst = max(worst, abs(got - want) / (1.0 + want))
+    return worst, worst <= 1e-10, f"{count} measures"
 
 
 def _perturb_swap(rng, plan):
@@ -215,187 +213,169 @@ def _perturb_swap(rng, plan):
     return new_plan(plan.pair, entries, plan.p)
 
 
-def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200) -> CriterionResult:
+@_criterion(5, "optimality-certificates")
+def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200):
     """Optimality certificates hold for every solver plan from criteria 1-3,
     and mass-preserving single-edge perturbations are rejected."""
-    def run():
-        worst = 0.0
-        failed = []
+    worst = 0.0
+    failed = []
 
-        def certify_one(mu, nu, p, tag):
-            nonlocal worst
-            wb, plan, duals = solve(mu, nu, p)
-            conc = certify.concentration_violation(plan, p)
-            mono = certify.cyclical_monotonicity_violation(plan, p)
-            pots = certify.potentials_violation(plan, duals, p)
-            ship = certify.boundary_shipping_violation(plan)
-            worst = max(worst, conc, mono, pots, ship)
-            if conc > 1e-8 or mono > 1e-8 or pots > 1e-9 or ship > 1e-9:
-                failed.append(tag)
-            return plan, duals
+    def certify_one(mu, nu, p, tag):
+        nonlocal worst
+        wb, plan, duals = solve(mu, nu, p)
+        conc = certify.concentration_violation(plan, p)
+        mono = certify.cyclical_monotonicity_violation(plan, p)
+        pots = certify.potentials_violation(plan, duals, p)
+        ship = certify.boundary_shipping_violation(plan)
+        worst = max(worst, conc, mono, pots, ship)
+        if conc > 1e-8 or mono > 1e-8 or pots > 1e-9 or ship > 1e-9:
+            failed.append(tag)
+        return plan, duals
 
-        plans = []
-        for k, (mu, nu, p) in enumerate(_oracle_instances(seed, count1)):
-            plan, duals = certify_one(mu, nu, p, f"c1#{k}")
-            plans.append((mu, nu, p, plan, duals))
-        for k, (sigma, tau, p) in enumerate(_diagram_instances(seed, count2)):
-            mu, nu = diagram_to_measure(sigma), diagram_to_measure(tau)
-            plan, duals = certify_one(mu, nu, p, f"c2#{k}")
-            plans.append((mu, nu, p, plan, duals))
-        for k, (mu1, mu2, mu3, p) in enumerate(_triple_instances(seed, count3)):
-            for a, b in ((mu1, mu2), (mu2, mu3)):
-                plan, duals = certify_one(a, b, p, f"c3#{k}")
-                plans.append((a, b, p, plan, duals))
+    plans = []
+    for k, (mu, nu, p) in enumerate(_oracle_instances(seed, count1)):
+        plan, duals = certify_one(mu, nu, p, f"c1#{k}")
+        plans.append((mu, nu, p, plan, duals))
+    for k, (sigma, tau, p) in enumerate(_diagram_instances(seed, count2)):
+        mu, nu = diagram_to_measure(sigma), diagram_to_measure(tau)
+        plan, duals = certify_one(mu, nu, p, f"c2#{k}")
+        plans.append((mu, nu, p, plan, duals))
+    for k, (mu1, mu2, mu3, p) in enumerate(_triple_instances(seed, count3)):
+        for a, b in ((mu1, mu2), (mu2, mu3)):
+            plan, duals = certify_one(a, b, p, f"c3#{k}")
+            plans.append((a, b, p, plan, duals))
 
-        # Perturbation sensitivity.
-        rng = random.Random(seed * 1000 + 5)
-        tried = rejected = 0
-        for mu, nu, p, plan, duals in plans:
-            perturbed = _perturb_swap(rng, plan)
-            if perturbed is None:
-                continue
-            increase = plan_cost(perturbed, p) - plan_cost(plan, p)
-            if increase <= 1e-6:
-                continue
-            tried += 1
-            report = certify.certify_optimal(mu, nu, perturbed, duals, p, tol=1e-8)
-            if not report.all_passed():
-                rejected += 1
-        sensitivity_ok = tried == 0 or rejected >= 0.95 * tried
-        detail = f"{len(plans)} plans, {len(failed)} cert failures; {rejected}/{tried} perturbations rejected"
-        return worst, (not failed) and sensitivity_ok, detail
-
-    (worst, ok, detail), secs = _timed(run)
-    return CriterionResult(5, "optimality-certificates", ok, worst, detail, secs)
+    # Perturbation sensitivity.
+    rng = random.Random(seed * 1000 + 5)
+    tried = rejected = 0
+    for mu, nu, p, plan, duals in plans:
+        perturbed = _perturb_swap(rng, plan)
+        if perturbed is None:
+            continue
+        increase = plan_cost(perturbed, p) - plan_cost(plan, p)
+        if increase <= 1e-6:
+            continue
+        tried += 1
+        report = certify.certify_optimal(mu, nu, perturbed, duals, p, tol=1e-8)
+        if not report.all_passed():
+            rejected += 1
+    sensitivity_ok = tried == 0 or rejected >= 0.95 * tried
+    detail = f"{len(plans)} plans, {len(failed)} cert failures; {rejected}/{tried} perturbations rejected"
+    return worst, (not failed) and sensitivity_ok, detail
 
 
-def criterion_geodesics(seed=DEFAULT_SEED, count=50) -> CriterionResult:
+@_criterion(6, "geodesics")
+def criterion_geodesics(seed=DEFAULT_SEED, count=50):
     """Constant speed, endpoint recovery and interior atoms off A."""
-    def run():
-        rng = random.Random(seed * 1000 + 6)
-        grid = [i / 10 for i in range(11)]
-        worst = 0.0
-        recovery_ok = True
-        interior_ok = True
-        for k in range(count):
-            pair = _HALF_PLANE if k % 2 == 0 else _BOX
-            p = (1, 1.5, 2, 3)[k % 4]
-            mu0 = _random_measure(rng, pair, 4)
-            mu1 = _random_measure(rng, pair, 4)
-            path = geodesic_path(mu0, mu1, p)
-            violation = check_constant_speed(path, grid)
-            worst = max(worst, violation / (1.0 + path.length))
-            # Exact atom points; masses to about an ulp, because plan masses
-            # are rounded exact flows.
-            for t, want in ((0.0, mu0), (1.0, mu1)):
-                if not measures_close(interpolate(path, t), want, coord_tol=0.0, mass_tol=1e-12):
-                    recovery_ok = False
-            for t in grid[1:-1]:
-                for x, y, _ in path.plan.entries:
-                    if pair.in_A(x) or pair.in_A(y):
-                        continue
-                    if pair.dist_to_A(pair.geo_point(x, y, t)) <= 1e-12:
-                        interior_ok = False
-        ok = worst <= 1e-8 and recovery_ok and interior_ok
-        return worst, ok, f"{count} paths, recovery={recovery_ok}, interior={interior_ok}"
-
-    (worst, ok, detail), secs = _timed(run)
-    return CriterionResult(6, "geodesics", ok, worst, detail, secs)
+    rng = random.Random(seed * 1000 + 6)
+    grid = [i / 10 for i in range(11)]
+    worst = 0.0
+    recovery_ok = True
+    interior_ok = True
+    for k in range(count):
+        pair = _HALF_PLANE if k % 2 == 0 else _BOX
+        p = (1, 1.5, 2, 3)[k % 4]
+        mu0 = _random_measure(rng, pair, 4)
+        mu1 = _random_measure(rng, pair, 4)
+        path = geodesic_path(mu0, mu1, p)
+        violation = check_constant_speed(path, grid)
+        worst = max(worst, violation / (1.0 + path.length))
+        # Exact atom points; masses to about an ulp, because plan masses
+        # are rounded exact flows.
+        for t, want in ((0.0, mu0), (1.0, mu1)):
+            if not measures_close(interpolate(path, t), want, coord_tol=0.0, mass_tol=1e-12):
+                recovery_ok = False
+        for t in grid[1:-1]:
+            for x, y, _ in path.plan.entries:
+                if pair.in_A(x) or pair.in_A(y):
+                    continue
+                if pair.dist_to_A(pair.geo_point(x, y, t)) <= 1e-12:
+                    interior_ok = False
+    ok = worst <= 1e-8 and recovery_ok and interior_ok
+    return worst, ok, f"{count} paths, recovery={recovery_ok}, interior={interior_ok}"
 
 
-def criterion_curvature(seed=DEFAULT_SEED, count=100) -> CriterionResult:
+@_criterion(7, "non-negative-curvature")
+def criterion_curvature(seed=DEFAULT_SEED, count=100):
     """Non-negative curvature comparison margin at p = 2."""
-    def run():
-        rng = random.Random(seed * 1000 + 7)
-        grid = [i / 10 for i in range(11)]
-        min_margin = math.inf
-        for k in range(count):
-            pair = _HALF_PLANE if k % 2 == 0 else _BOX
-            mu_p = _random_measure(rng, pair, 3)
-            mu_q = _random_measure(rng, pair, 3)
-            mu_r = _random_measure(rng, pair, 3)
-            min_margin = min(min_margin, curvature_comparison(mu_p, mu_q, mu_r, grid))
-        return min_margin
-
-    margin, secs = _timed(run)
-    return CriterionResult(7, "non-negative-curvature", margin >= -1e-8, margin, f"{count} triples", secs)
+    rng = random.Random(seed * 1000 + 7)
+    grid = [i / 10 for i in range(11)]
+    min_margin = math.inf
+    for k in range(count):
+        pair = _HALF_PLANE if k % 2 == 0 else _BOX
+        mu_p = _random_measure(rng, pair, 3)
+        mu_q = _random_measure(rng, pair, 3)
+        mu_r = _random_measure(rng, pair, 3)
+        min_margin = min(min_margin, curvature_comparison(mu_p, mu_q, mu_r, grid))
+    return min_margin, min_margin >= -1e-8, f"{count} triples"
 
 
-def criterion_angle_at_zero(seed=DEFAULT_SEED, count=200) -> CriterionResult:
+@_criterion(8, "angle-at-zero")
+def criterion_angle_at_zero(seed=DEFAULT_SEED, count=200):
     """No obtuse angles at the zero measure."""
-    def run():
-        rng = random.Random(seed * 1000 + 8)
-        min_value = math.inf
-        for k in range(count):
-            pair = _HALF_PLANE if k % 2 == 0 else _BOX
-            mu = _random_measure(rng, pair, 5)
-            nu = _random_measure(rng, pair, 5)
-            min_value = min(min_value, angle_at_zero(mu, nu))
-        return min_value
-
-    value, secs = _timed(run)
-    return CriterionResult(8, "angle-at-zero", value >= -1e-10, value, f"{count} pairs", secs)
+    rng = random.Random(seed * 1000 + 8)
+    min_value = math.inf
+    for k in range(count):
+        pair = _HALF_PLANE if k % 2 == 0 else _BOX
+        mu = _random_measure(rng, pair, 5)
+        nu = _random_measure(rng, pair, 5)
+        min_value = min(min_value, angle_at_zero(mu, nu))
+    return min_value, min_value >= -1e-10, f"{count} pairs"
 
 
-def criterion_truncation(seed=DEFAULT_SEED, count=50) -> CriterionResult:
+@_criterion(9, "truncation")
+def criterion_truncation(seed=DEFAULT_SEED, count=50):
     """Truncation distance is monotone, tail-bounded and eventually zero."""
-    def run():
-        rng = random.Random(seed * 1000 + 9)
-        radii = [2.0 ** (-k) for k in range(9)]  # 1, 0.5, ..., 2^-8
-        worst = 0.0
-        ok = True
-        for k in range(count):
-            pair = _HALF_PLANE if k % 2 == 0 else _BOX
-            p = (1, 2)[k % 2]
-            mu = _random_measure(rng, pair, 6, min_atoms=1)
-            min_gap = min(pair.dist_to_A(pt) for pt, _ in mu.atoms)
-            previous = math.inf
-            for r in radii:
-                w = wb_distance(mu, truncate(mu, r), p)
-                if w > previous + 1e-10:
-                    ok = False
-                worst = max(worst, w - previous)
-                previous = w
-                tail = sum(
-                    m * pair.dist_to_A(pt) ** p for pt, m in mu.atoms if pair.dist_to_A(pt) <= r
-                )
-                if w ** p > tail + 1e-9 * (1.0 + tail):
-                    ok = False
-                if r < min_gap and w != 0.0:
-                    ok = False
-        return max(worst, 0.0), ok
-
-    (worst, ok), secs = _timed(run)
-    return CriterionResult(9, "truncation", ok, worst, f"{count} measures, 9 radii", secs)
+    rng = random.Random(seed * 1000 + 9)
+    radii = [2.0 ** (-k) for k in range(9)]  # 1, 0.5, ..., 2^-8
+    worst = 0.0
+    ok = True
+    for k in range(count):
+        pair = _HALF_PLANE if k % 2 == 0 else _BOX
+        p = (1, 2)[k % 2]
+        mu = _random_measure(rng, pair, 6, min_atoms=1)
+        min_gap = min(pair.dist_to_A(pt) for pt, _ in mu.atoms)
+        previous = math.inf
+        for r in radii:
+            w = wb_distance(mu, truncate(mu, r), p)
+            if w > previous + 1e-10:
+                ok = False
+            worst = max(worst, w - previous)
+            previous = w
+            tail = sum(
+                m * pair.dist_to_A(pt) ** p for pt, m in mu.atoms if pair.dist_to_A(pt) <= r
+            )
+            if w ** p > tail + 1e-9 * (1.0 + tail):
+                ok = False
+            if r < min_gap and w != 0.0:
+                ok = False
+    return max(worst, 0.0), ok, f"{count} measures, 9 radii"
 
 
-def criterion_gluing(seed=DEFAULT_SEED, count=100) -> CriterionResult:
+@_criterion(10, "gluing-composition")
+def criterion_gluing(seed=DEFAULT_SEED, count=100):
     """Glued projections recover the inputs; composition obeys the triangle bound."""
-    def run():
-        worst = 0.0
-        ok = True
-        for mu1, mu2, mu3, p in _triple_instances(seed + 1, count, max_atoms=4):
-            r12 = solve(mu1, mu2, p)
-            r23 = solve(mu2, mu3, p)
-            glued = glue(r12.plan, r23.plan)
+    worst = 0.0
+    ok = True
+    for mu1, mu2, mu3, p in _triple_instances(seed + 1, count, max_atoms=4):
+        r12 = solve(mu1, mu2, p)
+        r23 = solve(mu2, mu3, p)
+        glued = glue(r12.plan, r23.plan)
 
-            back12, _ = projection_12(glued)
-            back23, _ = projection_23(glued)
-            for got, want in ((back12, r12.plan), (back23, r23.plan)):
-                got_d = {(s, d): m for s, d, m in got.entries}
-                want_d = {(s, d): m for s, d, m in want.entries}
-                for key in set(got_d) | set(want_d):
-                    a, b = got_d.get(key, 0.0), want_d.get(key, 0.0)
-                    if abs(a - b) > 1e-10 * (1.0 + max(a, b)):
-                        ok = False
+        back12, _ = projection_12(glued)
+        back23, _ = projection_23(glued)
+        for got, want in ((back12, r12.plan), (back23, r23.plan)):
+            got_d = {(s, d): m for s, d, m in got.entries}
+            want_d = {(s, d): m for s, d, m in want.entries}
+            for key in set(got_d) | set(want_d):
+                a, b = got_d.get(key, 0.0), want_d.get(key, 0.0)
+                if abs(a - b) > 1e-10 * (1.0 + max(a, b)):
+                    ok = False
 
-            lhs = plan_cost(compose(glued), p) ** (1.0 / p)
-            rhs = r12.wb + r23.wb
-            worst = max(worst, lhs - rhs)
-        return worst, ok and worst <= 1e-9
-
-    (worst, ok), secs = _timed(run)
-    return CriterionResult(10, "gluing-composition", ok, worst, f"{count} triples", secs)
+        lhs = plan_cost(compose(glued), p) ** (1.0 / p)
+        rhs = r12.wb + r23.wb
+        worst = max(worst, lhs - rhs)
+    return worst, ok and worst <= 1e-9, f"{count} triples"
 
 
 CRITERIA = (

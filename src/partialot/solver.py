@@ -24,33 +24,45 @@ from math import lcm
 from typing import NamedTuple
 
 from ._simplex import solve_transportation
+from .certify import _concentration
 from .errors import FloatRangeError, PairMismatchError, check_exponent, check_tol
 from .measures import DiscreteMeasure, PersistenceDiagram, diagram_to_measure
 # new_plan stays importable here: the benchmark's tracer wraps it by this name.
 from .plans import TransportPlan, _plan, new_plan  # noqa: F401
 
 
+def _rounded(num: int, scale: int) -> float:
+    """The exact cell num / scale rounded once to a float."""
+    try:
+        return num / scale
+    except OverflowError as exc:
+        raise FloatRangeError(f"value out of the float range: {exc}") from exc
+
+
 def cost_c(pair, x, y, p) -> float:
-    """Direct transport cost c(x, y) = d(x, y)^p."""
+    """Direct transport cost c(x, y) = d(x, y)^p: the exact cell of ``cost_matrix``, rounded."""
     p = check_exponent(p)
-    return pair.distance(x, y) ** p
+    cells, scale = pair.cost_matrix((x,), (y,), p)
+    return _rounded(cells[0][0], scale)
 
 
 def cost_ctilde(pair, x, y, p) -> float:
-    """Reduced cost: min of the direct cost and the via-boundary cost."""
+    """Reduced cost: the exact min of the direct cell and the detour through A, rounded."""
     p = check_exponent(p)
-    direct = pair.distance(x, y) ** p
-    via_boundary = pair.dist_to_A(x) ** p + pair.dist_to_A(y) ** p
-    return min(direct, via_boundary)
+    ((direct, to_A), (from_A, _)), scale = pair.cost_matrix((x,), (y,), p)
+    return _rounded(min(direct, to_A + from_A), scale)
 
 
 def in_S(pair, x, y, p, tol: float = 1e-9) -> bool:
-    """True iff the direct cost does not exceed the via-boundary cost by tol.
+    """True iff the direct cost exceeds the detour through A by at most tol * (1 + detour).
 
-    Optimal plans only charge pairs in this set.
+    This is certify's exact concentration rule on one cell.  Optimal plans
+    only charge pairs in this set.
     """
     tol = check_tol(tol, "tolerance")
-    return cost_c(pair, x, y, p) - cost_ctilde(pair, x, y, p) <= tol
+    p = check_exponent(p)
+    cells, scale = pair.cost_matrix((x,), (y,), p)
+    return _concentration(cells, scale, [(0, 0)]) <= tol
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,6 @@ class AugmentedProblem:
 
     sources: tuple  # ((point, supply), ...)
     sinks: tuple
-    boundary_source_supply: float
-    boundary_sink_demand: float
     cost_exact: tuple  # of tuples of Fractions
 
 
@@ -100,15 +110,13 @@ def _require_same_pair(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def build_augmented_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> AugmentedProblem:
-    """Assemble the boundary-augmented cost matrix and side masses."""
+    """Assemble the boundary-augmented cost matrix over the two measures' atoms."""
     _require_same_pair(mu, nu)
     p = check_exponent(p)
     cells, scale = mu.pair.cost_matrix([x for x, _ in mu.atoms], [y for y, _ in nu.atoms], p)
     return AugmentedProblem(
         sources=mu.atoms,
         sinks=nu.atoms,
-        boundary_source_supply=nu.total_mass,
-        boundary_sink_demand=mu.total_mass,
         # Tuples of lists, not of generators: a generator's tuple starts at 10
         # slots and is resized, so CPython's free list of its final size is
         # filled on every free and never drawn from, and peak memory grows.

@@ -162,6 +162,15 @@ def test_potentials_missing_atom():
         check_potentials(r.plan, DualPotentials({}, {}), 2)
 
 
+def test_duality_gap_missing_atom():
+    mu = new_measure(HP, [((0, 1), 1.0)])
+    nu = new_measure(HP, [((0, 3), 1.0)])
+    r = solve(mu, nu, 2)
+    for duals in (DualPotentials({}, r.duals.psi), DualPotentials(r.duals.phi, {})):
+        with pytest.raises(MissingPotentialError):
+            duality_gap_violation(r.plan, duals, 2)
+
+
 def test_boundary_shipping_examples():
     good = new_plan(HP, [((0, 5), (2.5, 2.5), 1.0)], 2)
     assert check_boundary_shipping(good)

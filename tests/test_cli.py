@@ -56,6 +56,18 @@ def test_dist_oracle_flag(measures, capsys):
     assert "agreement ok" in out
 
 
+def test_dist_oracle_agreement_is_relative(tmp_path, capsys):
+    # Wb_3^3 is about 4e7 here, so floats carry an absolute gap above 1e-9.
+    a = tmp_path / "a.measure"
+    b = tmp_path / "b.measure"
+    pot_io.save_measure(new_measure(HP, [((1645.0, 3126.0), 1.0)]), a)
+    pot_io.save_measure(new_measure(HP, [((1761.0, 2804.0), 1.0)]), b)
+    assert main(["dist", "--p", "3", "--oracle", "--format", "machine", str(a), str(b)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["agree"] and record["oracle_gap"] > 1e-9
+    assert record["oracle_gap"] <= 1e-9 * (1.0 + record["oracle"])
+
+
 def test_dist_machine_format_deterministic(measures, capsys):
     a, b = measures
     assert main(["dist", "--p", "2", "--format", "machine", a, b]) == 0
@@ -163,6 +175,31 @@ def test_diagram_dist(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "1.41421356237"
     assert out[1].startswith("match")
+
+
+def test_diagram_dist_on_a_finite_pair(tmp_path, capsys):
+    pair = {"kind": "finite", "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]], "A": [0]}
+    da = tmp_path / "a.diagram"
+    db = tmp_path / "b.diagram"
+    da.write_text(json.dumps({"pair": pair, "points": [1]}))
+    db.write_text(json.dumps({"pair": pair, "points": [2]}))
+    assert main(["diagram-dist", "--p", "2", str(da), str(db)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1.50000000000", "match 1 2"]
+    assert main(["diagram-dist", "--p", "2", "--format", "machine", str(da), str(db)]) == 0
+    assert json.loads(capsys.readouterr().out)["matching"] == [["match", 1, 2]]
+
+
+def test_unwritable_output_exits_1(measures, tmp_path, capsys):
+    a, b = measures
+    missing = tmp_path / "missing"
+    for argv in (
+        ["plan", a, b, "-o", str(missing / "x.plan")],
+        ["geodesic", a, b, "-o", str(missing / "geo_")],
+        ["curvature-check", a, b, a, "-o", str(missing / "table.csv")],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_parse_error_exit_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the Wb_p solver: costs, the augmented problem, solve, duals."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,12 +23,14 @@ from partialot import (
     marginals,
     new_diagram,
     new_measure,
+    new_plan,
     p_energy,
     solve,
     solve_detail,
     wb_distance,
     zero_measure,
 )
+from partialot.certify import concentration_violation
 from partialot.plans import cost as plan_cost
 
 HP = HalfPlanePair()
@@ -72,8 +75,7 @@ def test_build_augmented_problem_example():
     nu = new_measure(HP, [((0, 3), 1.0)])
     prob = build_augmented_problem(mu, nu, 2)
     assert prob.cost_exact == ((Fraction(4), Fraction(1, 2)), (Fraction(9, 2), Fraction(0)))
-    assert prob.boundary_source_supply == 1.0
-    assert prob.boundary_sink_demand == 1.0
+    assert (prob.sources, prob.sinks) == (mu.atoms, nu.atoms)
 
 
 def test_build_augmented_degenerate():
@@ -134,13 +136,19 @@ _WIDE = {
 }
 
 
-@pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3])
-@pytest.mark.parametrize("kind", sorted(_WIDE))
-def test_cost_matrix_matches_per_cell_fractions(kind, p):
+def _wide_points(kind, p):
+    """The pair and the ``_WIDE`` points of ``kind`` whose costs d^p stay finite floats."""
     pair, xs, ys = _WIDE[kind]
     if p > 2:  # keep d^p below the float range: 1e150^2.5 overflows
         xs = [x for x in xs if isinstance(x, int) or max(x) < 1e120]
         ys = [y for y in ys if isinstance(y, int) or max(y) < 1e120]
+    return pair, xs, ys
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3])
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_cost_matrix_matches_per_cell_fractions(kind, p):
+    pair, xs, ys = _wide_points(kind, p)
     for m, n in ((len(xs), len(ys)), (0, len(ys)), (len(xs), 0), (0, 0)):
         mu = new_measure(pair, [(x, 1.0) for x in xs[:m]])
         nu = new_measure(pair, [(y, 0.5) for y in ys[:n]])
@@ -153,10 +161,46 @@ def test_cost_matrix_matches_per_cell_fractions(kind, p):
     assert pair.boundary_cell(x, p) == _reference_cells(pair, [x], [], p)[0][0]
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3])
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_cost_c_and_ctilde_are_the_exact_cells_rounded_once(kind, p):
+    pair, xs, ys = _wide_points(kind, p)
+    for x, y in itertools.product(xs, ys):
+        direct = pair.cost_cell(x, y, p)
+        detour = pair.boundary_cell(x, p) + pair.boundary_cell(y, p)
+        assert cost_c(pair, x, y, p) == float(direct)
+        assert cost_ctilde(pair, x, y, p) == float(min(direct, detour))
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3])
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_in_S_is_the_certify_concentration_rule(kind, p):
+    pair, xs, ys = _wide_points(kind, p)
+    points = list(itertools.product(xs, ys))
+    if kind == "half_plane":
+        points.append(((1.375, 1.625), (1.0, 1.5)))  # an exact tie at p = 2
+    for x, y in points:
+        violation = concentration_violation(new_plan(pair, [(x, y, 1.0)], p), p)
+        for tol in (0.0, 1e-9, 0.5):
+            assert in_S(pair, x, y, p, tol) == (violation <= tol), (x, y, tol)
+
+
+def test_in_S_holds_on_an_exact_tie():
+    # Cells [[20, 4], [16, 0]] / 128: d^2 = 0.15625 = c_xA + c_yA exactly.
+    x, y = (1.375, 1.625), (1.0, 1.5)
+    assert HP.cost_matrix((x,), (y,), 2) == ([[20, 4], [16, 0]], 128)
+    assert in_S(HP, x, y, 2, tol=0.0)
+    assert cost_c(HP, x, y, 2) == cost_ctilde(HP, x, y, 2) == 0.15625
+
+
 def test_cost_matrix_overflow_is_reported_as_before():
     mu = new_measure(HP, [((-2.0, 1e150), 1.0)])
     with pytest.raises(OverflowError):
         build_augmented_problem(mu, mu, 2.5)
+    # At p = 2 the exact cell is finite as an int; only its rounding overflows.
+    for cost in (cost_c, cost_ctilde):
+        with pytest.raises(FloatRangeError):
+            cost(HP, (-1e200, 1e200), (1e200, 1e200), 2)
 
 
 @pytest.mark.parametrize(
