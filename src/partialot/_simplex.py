@@ -6,13 +6,11 @@ Solves the balanced transportation problem
     s.t. sum_j f[i][j] = supply[i],  sum_i f[i][j] = demand[j],  f >= 0
 
 with all data given as Python ``int``, so the pivot loop adds, subtracts and
-compares ints only, and the flows and potentials it returns are ints too.
-Callers with rational data scale it first: the costs by one positive
-constant and the masses by another.  Scaling costs scales every reduced cost
-alike, and scaling masses scales every flow alike, so each comparison, and
-hence each pivot, is the one the rational simplex would make, and dividing
-the flows and potentials back by the two scales gives the exact rational
-answer.
+compares ints only, and returns int flows and potentials.  Callers with
+rational data scale the costs by one positive constant and the masses by
+another: every reduced cost, and every flow, scales alike, so each pivot is
+the one the rational simplex would make, and dividing the answers back by
+the two scales gives the exact rational ones.
 
 The basis is a spanning tree over the m sources and n sinks, rooted at
 source 0 with potential 0 and stored as parent pointers, depths and child
@@ -21,23 +19,28 @@ up to their common ancestor; after the pivot only the subtree cut off by the
 leaving cell is re-hung, and its potentials shift by the entering reduced
 cost.
 
+The masses are perturbed once (Orden 1956; in int form, Cunningham's
+strongly feasible bases, 1976): with G = m(n + 1) and K = 2G + 1, supply i
+becomes K*supply[i] + n + 1, demand j becomes K*demand[j] + 1, and the last
+demand gets G - n more.  A proper set of nodes then has net supply K*N + g,
+with N its unperturbed net supply and 0 < |g| <= G.  A basic flow is the net
+supply of the part of the tree its cell cuts off, so it is never 0: every
+pivot moves mass and lowers the objective (no cycling), and one cell has the
+minimum ratio.  As 2G < K, perturbing only breaks ties, and a basic flow f is
+(f + G) // K = N >= 0 unperturbed: the last basis is optimal for both.
+
 The first basis is the row-minimum one: rows are filled in order, each from
 its cheapest open column first (smallest index on ties), and every
-allocation closes one line (the row once its supply is used up, otherwise
-the column; the last row closes columns only and its final cell both), so
-its m + n - 1 cells form a spanning tree.
+allocation but the last closes one line (the row once its supply is used
+up, otherwise the column), so the m + n - 1 cells form a spanning tree.
 
 The entering cell comes from a block search, as in LEMON's network simplex
 (Grigoriadis 1986; Bonneel et al. 2011): rows are scanned cyclically from
 where the previous search stopped, in blocks of max(1, round(sqrt(mn) / n))
 rows (about sqrt(mn) cells), and the most negative reduced cost of the first
 block that has one enters (smallest row-major index on ties).  Optimality is
-declared only after a full cycle finds no negative reduced cost.  After a
-run of m + n consecutive degenerate pivots the rule switches to Bland's
-(first negative reduced cost in row-major order) until a pivot moves mass
-again, which rules out cycling.  The leaving cell is always the smallest
-row-major index among the minimum-ratio candidates.  Every rule is
-deterministic, so the selected optimal vertex is reproducible.
+declared only after a full cycle finds no negative reduced cost.  Every rule
+is deterministic, so the selected optimal vertex is reproducible.
 """
 
 from math import sqrt
@@ -53,8 +56,8 @@ def solve_transportation(supply, demand, cost):
     the positive flow on that cell, ``u``/``v`` are dual potentials
     satisfying ``u[i] + v[j] <= cost[i][j]`` everywhere with equality on
     every cell of the final basis (hence on every positive flow), and
-    ``alt`` counts non-basic cells with zero reduced cost (witnesses of
-    alternate optima).
+    ``alt`` counts non-basic cells with zero reduced cost: 0 proves the
+    optimal flows unique, and a positive count means other optima may exist.
     """
     m, n = len(supply), len(demand)
     if m == 0 or n == 0:
@@ -66,48 +69,45 @@ def solve_transportation(supply, demand, cost):
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
         raise ValueError("supplies and demands must be non-negative")
 
+    g, k, supply, demand = _perturbed(supply, demand)
     tree = _row_minimum(supply, demand, cost)
     block = max(1, round(sqrt(m * n) / n))
     start = 0
-    stall_limit = m + n
-    stalled = 0
-    while True:
-        entering = _entering(cost, tree.u, tree.v, start, block, bland=stalled >= stall_limit)
-        if entering is None:
-            break
+    while (entering := _entering(cost, tree.u, tree.v, start, block)) is not None:
         i, j, rc, start = entering
-        moved = tree.pivot(i, j, rc)
-        stalled = 0 if moved else stalled + 1
+        tree.pivot(i, j, rc)
 
     u, v = tree.u, tree.v
     # Basic cells have reduced cost exactly 0; the rest of the zeros are ties.
     zeros = sum(list(map(sub, cost_i, v)).count(ui) for cost_i, ui in zip(cost, u))
     alt = zeros - (m + n - 1)
 
-    flows = {cell: f for cell, f in tree.flow.items() if f > 0}
+    # A perturbed flow f is K*N + g' with |g'| <= G, so N > 0 iff f > G.
+    flows = {cell: (f + g) // k for cell, f in tree.flow.items() if f > g}
     return flows, u, v, alt
 
 
-def _entering(cost, u, v, start, block, bland):
+def _perturbed(supply, demand):
+    """``(G, K, supply, demand)`` with the masses perturbed as in the module docstring."""
+    m, n = len(supply), len(demand)
+    g = m * (n + 1)
+    k = 2 * g + 1
+    demand = [k * d + 1 for d in demand]
+    demand[-1] += g - n
+    return g, k, [k * s + n + 1 for s in supply], demand
+
+
+def _entering(cost, u, v, start, block):
     """The entering cell ``(i, j, reduced_cost, next_start)``, or None at optimality.
 
-    With ``bland`` false this is the block search: rows ``start``,
-    ``start + 1``, ... are scanned cyclically in blocks of ``block`` rows (a
-    block also ends at the last row), and the most negative reduced cost of
-    the first block that has a negative one is returned, smallest row-major
-    index on ties, with the row after that block as ``next_start``.  With
-    ``bland`` true it is the first negative reduced cost in row-major order,
-    and ``next_start`` stays ``start``.  Basic cells have reduced cost
-    exactly 0, so scanning every cell considers only non-basic ones.
+    Rows ``start``, ``start + 1``, ... are scanned cyclically in blocks of
+    ``block`` rows (a block also ends at the last row), and the most
+    negative reduced cost of the first block that has a negative one is
+    returned, smallest row-major index on ties, with the row after that
+    block as ``next_start``.  Basic cells have reduced cost exactly 0, so
+    scanning every cell considers only non-basic ones.
     """
     m = len(cost)
-    if bland:
-        for i, (cost_i, ui) in enumerate(zip(cost, u)):
-            if min(map(sub, cost_i, v)) < ui:
-                row = list(map(sub, cost_i, v))
-                j = next(j for j, r in enumerate(row) if r < ui)
-                return i, j, row[j] - ui, start
-        return None
     best = 0
     entering = None
     i = start
@@ -164,7 +164,7 @@ class _BasisTree:
         return (x, self.parent[x] - m) if x < m else (self.parent[x], x - m)
 
     def pivot(self, i0, j0, rc):
-        """Pivot cell (i0, j0) of reduced cost ``rc`` in; True iff mass moved."""
+        """Pivot cell (i0, j0) of reduced cost ``rc`` in."""
         m, parent, depth, flow = self.m, self.parent, self.depth, self.flow
         # Walk both endpoints up to their common ancestor.  With the entering
         # cell taking +theta, the cycle's minus cells are those whose child
@@ -186,8 +186,8 @@ class _BasisTree:
         plus = [self._cell(x) for x in side_a if x >= m]
         plus += [self._cell(x) for x in side_b if x < m]
 
-        theta = min(flow[e] for e in minus)
-        leaving = min(e for e in minus if flow[e] == theta)
+        leaving = min(minus, key=flow.__getitem__)
+        theta = flow[leaving]
         for e in minus:
             flow[e] -= theta
         for e in plus:
@@ -220,7 +220,6 @@ class _BasisTree:
             for c in children[x]:
                 depth[c] = d
                 stack.append(c)
-        return theta > 0
 
     def _rehang(self, cut, start, anchor):
         """Detach the subtree under ``cut``, re-root it at ``start``, hang it on ``anchor``."""
@@ -240,9 +239,8 @@ class _BasisTree:
 def _row_minimum(supply, demand, cost):
     """Initial basis tree of m + n - 1 cells, filled row by row from each row's minimum.
 
-    Each allocation closes exactly one line, so read backwards every cell
-    adds one new node to the cells after it: the cells form a spanning
-    tree, which is hung from source 0.
+    The masses must be perturbed, so that the cells form a spanning tree
+    (module docstring); it is hung from source 0.
     """
     m, n = len(supply), len(demand)
     s = list(supply)
@@ -250,8 +248,7 @@ def _row_minimum(supply, demand, cost):
     open_columns = list(range(n))
     adjacent = [[] for _ in range(m + n)]
     for i, cost_i in enumerate(cost):
-        last = i == m - 1
-        while open_columns:
+        while True:
             j = min(open_columns, key=cost_i.__getitem__)
             theta = min(s[i], d[j])
             s[i] -= theta
@@ -259,7 +256,7 @@ def _row_minimum(supply, demand, cost):
             cell = (i, j, theta)
             adjacent[i].append(cell)
             adjacent[m + j].append(cell)
-            if s[i] == 0 and not last:
+            if s[i] == 0:
                 break
             open_columns.remove(j)
 

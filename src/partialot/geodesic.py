@@ -135,7 +135,7 @@ class BranchProbeReport:
     t0: float
     map_induced: bool  # each Omega target of the re-solved plan has one source
     endpoint_reproduced: bool  # extending the re-solved plan past t0 hits mu1
-    degenerate: bool  # the re-solve has alternate optima (exact cost ties)
+    degenerate: bool  # either solve may have other optimal plans (SolveDetail)
     dropped_mass: float
 
 
@@ -145,8 +145,8 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
     Interpolates to mu_t0, re-solves the transport from mu0 to the
     interpolant, and reports whether the re-solved plan's Omega-target part
     is induced by a map and whether extending its segments to t = 1
-    reproduces mu1.  When the re-solve has exact cost ties the report is
-    flagged degenerate and the two booleans carry no pass/fail meaning.
+    reproduces mu1.  When either solve may have other optimal plans the report
+    is flagged degenerate and the two booleans carry no pass/fail meaning.
     """
     p = check_exponent(p)
     if p <= 1.0:

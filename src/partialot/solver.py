@@ -101,7 +101,9 @@ class SolveDetail(NamedTuple):
     wb: float
     plan: TransportPlan
     duals: DualPotentials
-    degenerate: bool  # alternate optimal vertices exist (exact ties)
+    # True iff a non-basic cell has reduced cost 0 under the returned duals:
+    # other optimal plans may exist.  False proves this plan the only optimum.
+    degenerate: bool
 
 
 def _require_same_pair(mu: DiscreteMeasure, nu: DiscreteMeasure):

@@ -4,14 +4,21 @@
 through ``exact_reference.solve_fractions``, which scales them to ints and
 divides the answers back.
 
+The simplex perturbs the masses so that no basic flow is ever 0, and needs
+no anti-cycling rule; the tests that drive ``_row_minimum`` and
+``_BasisTree.pivot`` directly feed them the masses ``_perturbed`` makes, and
+check that every basic flow stays positive.
+
 The pinned answers in ``data/simplex_golden.json`` were rewritten when the
 row-minimum start and block-search pricing replaced the north-west corner
-and the full most-negative scan.  A pricing or start rule may change only
-what exact ties leave open: every instance keeps its optimal value, flows
-where the optimum is unique (``alt == 0``) and duals where the final basis
-has m + n - 1 positive flows.  To rewrite them after an intended change of
-answers, run ``PYTHONPATH=src python tests/test_simplex.py`` from the
-repository root and say why in CHANGES.md.
+and the full most-negative scan, and again when the mass perturbation
+replaced the smallest-index leaving rule and Bland's fallback.  A pricing,
+start or leaving rule may change only what exact ties leave open: every
+instance keeps its optimal value, flows where the optimum is unique
+(``alt == 0``) and duals where the final basis has m + n - 1 positive
+flows.  To rewrite them after an intended change of answers, run
+``PYTHONPATH=src python tests/test_simplex.py`` from the repository root
+and say why in CHANGES.md.
 """
 
 import json
@@ -23,7 +30,13 @@ from pathlib import Path
 import pytest
 
 from partialot import EuclideanBoxPair, HalfPlanePair, new_measure, solve
-from partialot._simplex import _BasisTree, _entering, _row_minimum, solve_transportation
+from partialot._simplex import (
+    _BasisTree,
+    _entering,
+    _perturbed,
+    _row_minimum,
+    solve_transportation,
+)
 from partialot.certify import duality_gap_violation
 
 from exact_reference import augmented as _augmented
@@ -231,30 +244,57 @@ def test_pinned_answers_are_bit_identical():
 
 
 #: Pivots the pinned instances took from a north-west-corner start with the
-#: full most-negative scan; the row-minimum start with block search takes 99.
+#: full most-negative scan; the row-minimum start with block search takes 91
+#: on the perturbed masses.
 NORTHWEST_STEEPEST_PIVOTS = 279
 
 
-def test_pinned_instances_take_fewer_pivots(monkeypatch):
-    pivots = 0
+@pytest.fixture
+def pivots(monkeypatch):
+    """A one-item list that counts the test's calls of ``_BasisTree.pivot``."""
+    count = [0]
     pivot = _BasisTree.pivot
 
     def counted(tree, *args):
-        nonlocal pivots
-        pivots += 1
-        return pivot(tree, *args)
+        count[0] += 1
+        pivot(tree, *args)
 
     monkeypatch.setattr(_BasisTree, "pivot", counted)
+    return count
+
+
+def test_pinned_instances_take_fewer_pivots(pivots):
     for supply, demand, cost in _pinned_instances().values():
         solve_fractions(supply, demand, cost)
-    assert 0 < pivots < NORTHWEST_STEEPEST_PIVOTS
+    assert 0 < pivots[0] < NORTHWEST_STEEPEST_PIVOTS
+
+
+#: Pivots ``solve`` took on the unit-mass instance below when the leaving
+#: cell was the smallest row-major index among the minimum-ratio cells,
+#: with Bland's rule after m + n degenerate pivots; the mass perturbation,
+#: under which no pivot is degenerate, takes 1 258.
+SMALLEST_INDEX_UNIT_PIVOTS = 1652
+#: That instance's Wb_2, which both leaving rules reach bit for bit.
+UNIT_WB = "0x1.2ac3ad50a5bebp+3"
+
+
+def test_perturbation_saves_degenerate_pivots(pivots):
+    # Unit masses make many sets of atoms balance: the unperturbed
+    # simplex moves no mass in most of its pivots here.
+    rng = random.Random("unit/200")
+    mu, nu = (
+        new_measure(HALF_PLANE, [(x, 1.0) for x, _ in _general_measure(rng, HALF_PLANE, 200).atoms])
+        for _ in range(2)
+    )
+    assert solve(mu, nu, 2.0).wb.hex() == UNIT_WB
+    assert 0 < pivots[0] < SMALLEST_INDEX_UNIT_PIVOTS
 
 
 # ---------------------------------------------------------------------------
 # Entering rules and the incremental basis tree.
 
 
-def _brute_force_entering(cost, basis, u, v, start, block, bland):
+def _brute_force_entering(cost, basis, u, v, start, block):
     """Entering cell and next start row, by a plain scan of the non-basic cells."""
     m = len(cost)
     negative = [
@@ -265,8 +305,6 @@ def _brute_force_entering(cost, basis, u, v, start, block, bland):
     ]
     if not negative:
         return None
-    if bland:
-        return (*negative[0], start)
     # The cycle from the start row, cut into blocks of `block` rows that
     # also end at the last row.
     blocks, rows = [], []
@@ -289,7 +327,7 @@ def _check_tree(tree, supply, demand, cost):
     assert len(tree.flow) == m + n - 1
     assert tree.u[0] == 0 and type(tree.u[0]) is int
     for (i, j), f in tree.flow.items():
-        assert f >= 0
+        assert f > 0
         assert tree.u[i] + tree.v[j] == cost[i][j]
         # every basic cell is the edge from a node to its parent
         assert tree.parent[i] == m + j or tree.parent[m + j] == i
@@ -326,7 +364,7 @@ def _row_minimum_cells(supply, demand, cost):
             cells[(i, j)] = theta
             s[i] -= theta
             d[j] -= theta
-            if s[i] == 0 and i < m - 1:
+            if s[i] == 0:
                 break
             closed.add(j)
     return cells
@@ -337,6 +375,7 @@ def test_row_minimum_start_is_a_spanning_tree():
     sides = set()
     for _ in range(300):
         supply, demand, cost = _random_degenerate(rng, 6)
+        _, _, supply, demand = _perturbed(supply, demand)
         sides.add((len(supply) == 1, len(demand) == 1))
         tree = _row_minimum(supply, demand, cost)
         _check_tree(tree, supply, demand, cost)
@@ -345,19 +384,19 @@ def test_row_minimum_start_is_a_spanning_tree():
     assert sides == {(False, False), (True, False), (False, True), (True, True)}
 
 
-@pytest.mark.parametrize("bland", [False, True])
-def test_entering_rules_match_brute_force(bland):
-    rng = random.Random(17 + bland)
+def test_entering_rules_match_brute_force():
+    rng = random.Random(17)
     seen_negative = 0
     for _ in range(150):
         supply, demand, cost = _random_degenerate(rng, 7)
+        _, _, supply, demand = _perturbed(supply, demand)
         m = len(supply)
         tree = _row_minimum(supply, demand, cost)
         start, block = rng.randrange(m), rng.randint(1, m)
         while True:
             _check_tree(tree, supply, demand, cost)
-            got = _entering(cost, tree.u, tree.v, start, block, bland)
-            want = _brute_force_entering(cost, tree.flow, tree.u, tree.v, start, block, bland)
+            got = _entering(cost, tree.u, tree.v, start, block)
+            want = _brute_force_entering(cost, tree.flow, tree.u, tree.v, start, block)
             assert got == want
             if got is None:
                 break
@@ -371,21 +410,47 @@ def test_entering_rules_differ():
     cost = [[0, 0, 5], [0, 1, 0], [5, 5, 5]]
     u, v = [1, 3, 0], [0, 0, 0]  # reduced costs: [-1, -1, 4], [-3, -2, -3], [5, 5, 5]
     # the block search takes the first block with a negative cell ...
-    assert _entering(cost, u, v, 0, 1, bland=False) == (0, 0, -1, 1)
+    assert _entering(cost, u, v, 0, 1) == (0, 0, -1, 1)
     # ... its most negative cell, and the row after the block as next start
-    assert _entering(cost, u, v, 0, 2, bland=False) == (1, 0, -3, 2)
-    assert _entering(cost, u, v, 1, 1, bland=False) == (1, 0, -3, 2)
-    # from the last row it wraps to row 0; Bland ignores the start row
-    assert _entering(cost, u, v, 2, 1, bland=False) == (0, 0, -1, 1)
-    assert _entering(cost, u, v, 2, 1, bland=True) == (0, 0, -1, 2)
+    assert _entering(cost, u, v, 0, 2) == (1, 0, -3, 2)
+    assert _entering(cost, u, v, 1, 1) == (1, 0, -3, 2)
+    # from the last row it wraps to row 0
+    assert _entering(cost, u, v, 2, 1) == (0, 0, -1, 1)
     cost[1][0] = 2  # row 1: [-1, -2, -3]
-    assert _entering(cost, u, v, 1, 1, bland=False) == (1, 2, -3, 2)
+    assert _entering(cost, u, v, 1, 1) == (1, 2, -3, 2)
     u[0] = 0
-    assert _entering(cost, u, v, 0, 3, bland=False) == (1, 2, -3, 0)
-    assert _entering(cost, u, v, 0, 3, bland=True) == (1, 0, -1, 0)
+    assert _entering(cost, u, v, 0, 3) == (1, 2, -3, 0)
     # a full cycle with no negative cell is optimal
-    assert _entering(cost, [0, 0, 0], v, 1, 1, bland=False) is None
-    assert _entering(cost, [0, 0, 0], v, 1, 1, bland=True) is None
+    assert _entering(cost, [0, 0, 0], v, 1, 1) is None
+
+
+def test_every_basic_flow_stays_positive(monkeypatch):
+    rng = random.Random(30)
+    instances = [_random_degenerate(rng, 8) for _ in range(3000)]
+    instances += [
+        to_ints(*instance)[:3]
+        for name, instance in _pinned_instances().items()
+        if name.endswith("unit_ties")
+    ]
+    pivots = 0
+    pivot = _BasisTree.pivot
+
+    def checked(tree, *args):
+        nonlocal pivots
+        pivots += 1
+        pivot(tree, *args)
+        _check_tree(tree, *masses, tree.cost)  # every basic flow > 0
+
+    monkeypatch.setattr(_BasisTree, "pivot", checked)
+    enumerated = 0
+    for supply, demand, cost in instances:
+        masses = _perturbed(supply, demand)[2:]
+        flows, u, v, _ = solve_transportation(supply, demand, cost)
+        _check_exact_optimality(supply, demand, cost, flows, u, v)
+        if len(supply) * len(demand) <= 9:
+            enumerated += 1
+            assert _objective(flows, cost) == _brute_force_min(supply, demand, cost)
+    assert pivots > 3000 and enumerated > 900
 
 
 def test_n500_solve_closes_the_duality_gap_exactly():
