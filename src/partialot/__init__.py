@@ -20,7 +20,6 @@ from .errors import (
     UnsupportedPairError,
 )
 from .pairs import (
-    DEFAULT_MEMBERSHIP_TOL,
     EuclideanBoxPair,
     FinitePair,
     HalfPlanePair,

@@ -20,7 +20,7 @@ class UnsupportedPairError(PartialOTError):
 
 
 class AtomOnBoundaryError(PartialOTError):
-    """A measure atom sits on (or too close to) the boundary set A."""
+    """A measure atom sits on the boundary set A."""
 
 
 class NonPositiveMassError(PartialOTError):

@@ -44,9 +44,9 @@ def geodesic_path(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p) -> GeodesicPath
 def interpolate_detail(path: GeodesicPath, t):
     """Interpolant at time t plus the mass dropped onto A.
 
-    Every plan entry contributes an atom at the segment point; atoms in A
+    Every plan entry contributes an atom at the segment point; atoms on A
     (``pair.in_A``) are removed (the restriction to Omega), which only
-    happens for boundary edges near their endpoints.  The plan's endpoints
+    happens for boundary edges at their endpoints.  The plan's endpoints
     are already validated; each segment point is validated once.
     """
     t = _check_t(t)
@@ -128,6 +128,10 @@ def angle_at_zero(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     )
 
 
+# The non-branching probe's relative tolerance on lengths and masses.
+_PROBE_TOL = 1e-8
+
+
 @dataclass
 class BranchProbeReport:
     """Outcome of the non-branching probe at an interior time."""
@@ -147,6 +151,14 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
     is induced by a map and whether extending its segments to t = 1
     reproduces mu1.  When either solve may have other optimal plans the report
     is flagged degenerate and the two booleans carry no pass/fail meaning.
+
+    Both booleans read the re-solve to a relative 1e-8, so every scale gets
+    the same report.  Entries into A, and entries carrying at most 1e-8 of
+    their target's mass at t0 (rounding-level flow), are left out.  With
+    ``r`` 1e-8 times the largest coordinate magnitude of mu0 and mu1, an
+    extended point within ``r`` of A has left Omega; every other one must
+    lie within ``r`` of an atom of mu1, the nearest of which takes its mass.
+    The masses so collected must equal mu1's to a relative 1e-8.
     """
     p = check_exponent(p)
     if p <= 1.0:
@@ -165,28 +177,42 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
     mu_t, dropped = interpolate_detail(path, t0)
     detail = solve_detail(mu0, mu_t, p)
 
+    at_t0 = mu_t.mass_by_point()
+    moves = [
+        (x, w, m)
+        for x, w, m in detail.plan.entries
+        if not pair._in_A(w) and m > _PROBE_TOL * at_t0[w]
+    ]
     receivers = {}
-    for x, y, m in detail.plan.entries:
-        if not pair._in_A(y):
-            receivers.setdefault(y, set()).add(x)
+    for x, w, _ in moves:
+        receivers.setdefault(w, set()).add(x)
     map_induced = all(len(srcs) == 1 for srcs in receivers.values())
 
-    extended = []
-    valid = True
-    for x, w, m in detail.plan.entries:
-        if pair._in_A(w):
-            continue  # mass parked on A by t0 never reaches t = 1
+    reach = _PROBE_TOL * max(
+        (abs(c) for mu in (mu0, mu1) for pt, _ in mu.atoms for c in pt), default=0.0
+    )
+    got = {}
+    endpoint_reproduced = True
+    for x, w, m in moves:
         try:
             z = pair.validate_point(tuple(xc + (wc - xc) / t0 for xc, wc in zip(x, w)))
         except InvalidPointError:
-            valid = False
+            endpoint_reproduced = False
             break
-        if not pair._in_A(z):
-            extended.append((z, m))
-    endpoint_reproduced = False
-    if valid:
-        got = DiscreteMeasure(pair, _canonical_atoms(extended))
-        endpoint_reproduced = measures_close(got, mu1, coord_tol=1e-8, mass_tol=1e-8)
+        if pair._dist_to_A(z) <= reach:
+            continue  # the extended segment has left Omega by t = 1
+        near = min(((pair._distance(z, y), y) for y, _ in mu1.atoms), default=None)
+        if near is None or near[0] > reach:
+            endpoint_reproduced = False
+            break
+        got[near[1]] = got.get(near[1], 0.0) + m
+    if endpoint_reproduced:
+        endpoint_reproduced = measures_close(
+            DiscreteMeasure(pair, tuple(sorted(got.items()))),
+            mu1,
+            coord_tol=0.0,
+            mass_tol=_PROBE_TOL,
+        )
 
     return BranchProbeReport(
         t0=t0,

@@ -54,7 +54,7 @@ def new_measure(pair, atoms) -> DiscreteMeasure:
 
     Duplicate points are allowed and merged (multiset semantics).  Each
     point is validated once.  Atoms with a non-positive or infinite mass, or
-    in A (``pair.in_A``), are rejected.
+    on A (at distance exactly 0 from it, ``pair.in_A``), are rejected.
     An empty atom list yields the zero measure.
     """
     checked = []
@@ -133,7 +133,8 @@ def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, coord_tol: float, mas
     """Atom-for-atom comparison in canonical order.
 
     Paired atoms may lie up to ``coord_tol`` apart (0 asks for equal points)
-    and their masses may differ by ``mass_tol`` relative to the larger one.
+    and their masses may differ by ``mass_tol`` times the larger one, a
+    purely relative rule that gives every mass scale the same answer.
     Assumes atoms are separated by much more than ``coord_tol`` (generic
     instances), so pairing them in canonical order is the right pairing.
     """
@@ -142,7 +143,7 @@ def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, coord_tol: float, mas
     for (pa, ma), (pb, mb) in zip(a.atoms, b.atoms):
         if pa != pb and a.pair._distance(pa, pb) > coord_tol:
             return False
-        if abs(ma - mb) > mass_tol * (1.0 + max(ma, mb)):
+        if abs(ma - mb) > mass_tol * max(ma, mb):
             return False
     return True
 

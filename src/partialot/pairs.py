@@ -16,6 +16,8 @@ The Euclidean pairs are convex, hence geodesic; the finite pair is not.
 Points are plain tuples of floats for the Euclidean pairs and integer
 indices for finite pairs.  A point is only meaningful for the pair it was
 validated against; mixing pairs raises :class:`InvalidPointError`.
+A point is on A iff its distance to A is exactly 0: no tolerance, so a
+scaled copy of an input is decided as the input is.
 
 All pair objects are immutable and hashable; they are safe to share between
 threads.
@@ -25,13 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError, check_tol
+from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError
 
 Point = "tuple[float, ...] | int"
-
-#: Default tolerance for deciding membership in A.  Interpolated atoms land
-#: near A but rarely exactly on it in floating point.
-DEFAULT_MEMBERSHIP_TOL = 1e-9
 
 # Slack (relative) admitted when checking that a point lies inside X; covers
 # round-off from convex combinations of valid points.
@@ -72,7 +70,7 @@ class MetricPair:
         raise NotImplementedError
 
     def _in_A(self, x) -> bool:
-        return self._dist_to_A(x) <= DEFAULT_MEMBERSHIP_TOL
+        return self._dist_to_A(x) == 0.0
 
     def _geo_point(self, x, y, t: float) -> Point:
         raise UnsupportedPairError(
@@ -89,10 +87,9 @@ class MetricPair:
         """A nearest point of A to x."""
         return self._project_A(self.validate_point(x))
 
-    def in_A(self, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-        """True iff x is within tol of the boundary set A."""
-        tol = check_tol(tol, "membership tolerance")
-        return self._dist_to_A(self.validate_point(x)) <= tol
+    def in_A(self, x) -> bool:
+        """True iff x lies on the boundary set A: its distance to A is exactly 0."""
+        return self._in_A(self.validate_point(x))
 
     def geo_point(self, x, y, t: float) -> Point:
         """The point at time t in [0, 1] on the segment from x to y."""
@@ -107,7 +104,8 @@ class MetricPair:
         two.  Row i < len(xs) holds d(x_i, y_j)^p, then d(x_i, A)^p; the last
         row holds d(y_j, A)^p, then 0.  Here each cell is the float
         ``d ** p`` read exactly; subclasses override this for exact powers.
-        A cost beyond the float range raises :class:`FloatRangeError`.
+        A cost beyond the float range, or a positive distance whose
+        ``d ** p`` underflows to 0, raises :class:`FloatRangeError`.
         """
         xs, ys = self._validated(xs, ys)
         try:
@@ -116,10 +114,22 @@ class MetricPair:
                 + [(self._dist_to_A(x) ** p).as_integer_ratio()]
                 for x in xs
             ]
-            rows.append([(self._dist_to_A(y) ** p).as_integer_ratio() for y in ys] + [(0, 1)])
+            rows.append([(self._dist_to_A(y) ** p).as_integer_ratio() for y in ys])
         except OverflowError as exc:
             raise FloatRangeError(f"value out of the float range: {exc}") from exc
+        # Zero cells are rare (equal points), so only they are looked at again.
+        if any((0, 1) in row for row in rows):
+            self._check_underflow(xs, ys, p, rows)
+        rows[-1].append((0, 1))
         return _on_one_scale(rows)
+
+    def _check_underflow(self, xs, ys, p, rows):
+        dists = [[self._distance(x, y) for y in ys] + [self._dist_to_A(x)] for x in xs]
+        dists.append([self._dist_to_A(y) for y in ys])
+        for drow, row in zip(dists, rows):
+            for d, cell in zip(drow, row):
+                if d > 0.0 and cell == (0, 1):
+                    raise FloatRangeError(f"value out of the float range: {d!r} ** {p} is 0")
 
     def _validated(self, xs, ys) -> tuple:
         return [self.validate_point(x) for x in xs], [self.validate_point(y) for y in ys]

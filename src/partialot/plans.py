@@ -15,7 +15,7 @@ from .errors import (
     PairMismatchError,
     check_exponent,
 )
-from .measures import DiscreteMeasure, _canonical_atoms
+from .measures import DiscreteMeasure, _canonical_atoms, measures_close
 from .pairs import MetricPair, as_number
 
 
@@ -148,11 +148,12 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     """Glue two plans along their common middle marginal.
 
     The middle marginals (mass arriving in Omega under ``plan12``, mass
-    leaving Omega under ``plan23``) must agree atom-for-atom within
-    a relative 1e-10; points are compared exactly.  At each shared middle atom
-    the incoming and outgoing masses are coupled proportionally.  Entries of
-    ``plan12`` ending on A and entries of ``plan23`` starting on A become
-    constant-middle triples, with matching diagonal defects.
+    leaving Omega under ``plan23``) must have the same atoms, with masses
+    equal to a relative 1e-10 (:func:`measures.measures_close`).  At each
+    shared middle atom the incoming and outgoing masses are coupled
+    proportionally.  Entries of ``plan12`` ending on A and entries of
+    ``plan23`` starting on A become constant-middle triples, with matching
+    diagonal defects.
     """
     if plan12.pair != plan23.pair:
         raise PairMismatchError("glued plans must live on the same pair")
@@ -177,22 +178,19 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
         else:
             outgoing.setdefault(s, []).append((d, m))
 
-    if set(incoming) != set(outgoing):
-        only12 = set(incoming) - set(outgoing)
-        only23 = set(outgoing) - set(incoming)
-        raise MarginalMismatchError(
-            f"middle marginals differ: {len(only12)} atoms only incoming, {len(only23)} only outgoing"
-        )
-    for y in incoming:
-        m_in = sum(m for _, m in incoming[y])
-        m_out = sum(m for _, m in outgoing[y])
-        if abs(m_in - m_out) > 1e-10 * (1.0 + max(m_in, m_out)):
-            raise MarginalMismatchError(
-                f"middle marginal mass mismatch at {y!r}: {m_in} vs {m_out}"
-            )
-        for x, m in incoming[y]:
+    m_in = {y: sum(m for _, m in srcs) for y, srcs in incoming.items()}
+    m_out = {y: sum(m for _, m in dsts) for y, dsts in outgoing.items()}
+    if not measures_close(
+        DiscreteMeasure(pair, tuple(sorted(m_in.items()))),
+        DiscreteMeasure(pair, tuple(sorted(m_out.items()))),
+        coord_tol=0.0,
+        mass_tol=1e-10,
+    ):
+        raise MarginalMismatchError("the middle marginals of the glued plans differ")
+    for y, srcs in incoming.items():
+        for x, m in srcs:
             for z, n in outgoing[y]:
-                triples.append((x, y, z, m * n / m_out))
+                triples.append((x, y, z, m * n / m_out[y]))
 
     return GluedPlan(
         pair,

@@ -251,6 +251,18 @@ def test_certify_optimal_rejects_atom_missing_from_measure():
         certify_optimal(mu, nu, extra, duals, 2)
 
 
+def test_certify_optimal_compares_tiny_masses_relatively():
+    # 50 times the prescribed mass 1e-12 differs by 4.9e-11: a floor of
+    # 1e-10 absolute mass would have passed it.
+    mu = new_measure(HP, [((0, 1), 1e-12)])
+    nu = new_measure(HP, [((0, 3), 1e-12)])
+    r = solve(mu, nu, 2)
+    assert certify_optimal(mu, nu, r.plan, r.duals, 2).all_passed()
+    heavy = new_plan(HP, [(s, d, 50 * m) for s, d, m in r.plan.entries], 2)
+    with pytest.raises(InadmissiblePlanError):
+        certify_optimal(mu, nu, heavy, r.duals, 2)
+
+
 def test_sensitivity_to_perturbation():
     rng = random.Random(12)
     rejected = tried = 0

@@ -121,6 +121,20 @@ def test_certify_bad_tolerance_is_a_usage_error(measures, tmp_path, capsys, tol)
     assert captured.err.startswith("error:") and "tolerance" in captured.err
 
 
+def test_certify_tiny_masses_mismatch_exits_2(tmp_path, capsys):
+    a, b, plan_file = (str(tmp_path / name) for name in ("a.measure", "b.measure", "heavy.plan"))
+    pot_io.save_measure(new_measure(HP, [((0, 1), 1e-12)]), a)
+    pot_io.save_measure(new_measure(HP, [((0, 3), 1e-12)]), b)
+    assert main(["plan", "--p", "2", a, b, "-o", plan_file]) == 0
+    with open(plan_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    for entry in data["entries"]:
+        entry["mass"] *= 50
+    with open(plan_file, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert main(["certify", "--p", "2", a, b, plan_file]) == 2
+
+
 def test_certify_without_duals_exits_2(measures, tmp_path, capsys):
     a, b = measures
     plan_file = str(tmp_path / "bare.plan")

@@ -62,7 +62,7 @@ def test_project_consistency_sampled():
             else:
                 x = (rng.uniform(0, 4), rng.uniform(0, 4))
             proj = pair.project_A(x)
-            assert pair.in_A(proj, tol=1e-12)
+            assert pair.in_A(proj)
             d = pair.dist_to_A(x)
             assert pair.distance(x, proj) == pytest.approx(d, rel=1e-12, abs=1e-15)
 
@@ -80,17 +80,9 @@ def test_dist_to_A_lower_bounds_any_boundary_point():
 
 
 def test_in_A_examples():
-    assert HP.in_A((1, 1), tol=0.0)
-    assert not HP.in_A((0, 2), tol=1e-9)
+    assert HP.in_A((1, 1))
+    assert not HP.in_A((0, 2))
     assert FIN.in_A(0) and FIN.in_A(1) and not FIN.in_A(2)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-@pytest.mark.parametrize("pair, x", [(HP, (1.0, 1.0)), (HP, (0.0, 5.0)), (BOX, (2.0, 2.0)), (FIN, 2)])
-def test_in_A_tolerance_must_be_finite_and_non_negative(pair, x, tol):
-    # NaN would put no point in A, an infinite tolerance every point.
-    with pytest.raises(ValueError, match="membership tolerance"):
-        pair.in_A(x, tol)
 
 
 def test_geo_point_examples():

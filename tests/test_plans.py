@@ -112,6 +112,14 @@ def test_glue_marginal_mismatch():
         glue(new_plan(HP, [(x, y, 1.0)], 2), new_plan(HP, [(y, z, 2.0)], 2))
 
 
+def test_glue_compares_middle_masses_relatively():
+    x, y, z = (0.0, 1.0), (0.0, 2.0), (0.0, 3.0)
+    with pytest.raises(MarginalMismatchError):
+        glue(new_plan(HP, [(x, y, 1e-12)], 2), new_plan(HP, [(y, z, 5e-11)], 2))
+    glued = glue(new_plan(HP, [(x, y, 1e-12)], 2), new_plan(HP, [(y, z, 1e-12)], 2))
+    assert glued.triples == ((x, y, z, 1e-12),)
+
+
 def test_compose_drops_boundary_to_boundary():
     a = (1.0, 1.0)
     g = glue(new_plan(HP, [((0, 1), a, 1.0)], 2), new_plan(HP, [], 2))

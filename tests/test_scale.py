@@ -1,0 +1,108 @@
+"""Scale invariance: membership in A is exact, so every scale gets the same answer.
+
+Scaling X (and A with it) by a power of two ``lam`` scales ``Wb_p`` and
+``d_p`` by ``lam``.  Every cost cell scales by ``lam ** p``: exactly at
+p in {1, 2}, where the optimum and the matching are then bit-identical up to
+the scaling, and up to the rounding of ``d ** p`` and of the p-th root at
+p in {1.5, 3}.
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from partialot import (  # noqa: E402
+    EuclideanBoxPair,
+    HalfPlanePair,
+    diagram_distance,
+    geodesic_path,
+    interpolate_detail,
+    new_diagram,
+    new_measure,
+    solve,
+)
+
+HP = HalfPlanePair()
+
+# Multiples of 2^-10 up to 2^10: scaled by 2^-200 they stay normal floats.
+_coord = st.integers(-(2**20), 2**20).map(lambda n: n / 1024)
+_lifetime = st.integers(1, 2**20).map(lambda n: n / 1024)
+_half_plane_point = st.builds(lambda a, life: (a, a + life), _coord, _lifetime)
+_box_coord = st.integers(1, 4 * 1024 - 1).map(lambda n: n / 1024)
+_box_point = st.tuples(_box_coord, _box_coord)
+_mass = st.floats(0.1, 3.0)
+_k = st.integers(0, 200)
+_p = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+
+
+def _scaled(point, lam):
+    return tuple(lam * c for c in point)
+
+
+def _box(lam):
+    return EuclideanBoxPair((0.0, 0.0), (4.0 * lam, 4.0 * lam))
+
+
+def _assert_scaled(value, base, lam, p):
+    if p in (1.0, 2.0):
+        assert value == lam * base
+    else:
+        assert value == pytest.approx(lam * base, rel=1e-12, abs=0.0)
+
+
+def _assert_entries_scaled(scaled, base, lam):
+    assert scaled == tuple((_scaled(s, lam), _scaled(d, lam), m) for s, d, m in base)
+
+
+@given(st.lists(_half_plane_point, max_size=5), st.lists(_half_plane_point, max_size=5), _k, _p)
+def test_diagram_distance_scales_with_the_diagrams(sigma, tau, k, p):
+    lam = 2.0**-k
+    dp, matching = diagram_distance(new_diagram(sigma), new_diagram(tau), p)
+    dp_lam, matching_lam = diagram_distance(
+        new_diagram([_scaled(x, lam) for x in sigma]),
+        new_diagram([_scaled(x, lam) for x in tau]),
+        p,
+    )
+    _assert_scaled(dp_lam, dp, lam, p)
+    _assert_entries_scaled(matching_lam.entries, matching.entries, lam)
+
+
+@st.composite
+def _measure_atoms(draw):
+    point = draw(st.sampled_from([_half_plane_point, _box_point]))
+    atoms = st.lists(st.tuples(point, _mass), max_size=4)
+    return point is _box_point, draw(atoms), draw(atoms)
+
+
+@given(_measure_atoms(), _k, _p)
+def test_wb_scales_with_the_measures(instance, k, p):
+    boxed, mu, nu = instance
+    lam = 2.0**-k
+
+    def measures(scale):
+        pair = _box(scale) if boxed else HP
+        return [new_measure(pair, [(_scaled(x, scale), m) for x, m in atoms]) for atoms in (mu, nu)]
+
+    base = solve(*measures(1.0), p)
+    scaled = solve(*measures(lam), p)
+    _assert_scaled(scaled.wb, base.wb, lam, p)
+    _assert_entries_scaled(scaled.plan.entries, base.plan.entries, lam)
+
+
+def test_a_diagram_point_near_the_diagonal_is_off_A():
+    # 7e-10 from the diagonal is off A: only distance exactly 0 is on it.
+    sigma = new_diagram([(0.0, 1e-9)])
+    assert sigma.points == ((0.0, 1e-9),)
+    assert diagram_distance(sigma, new_diagram([]), 2)[0] == pytest.approx(1e-9 / math.sqrt(2))
+
+
+def test_a_small_geodesic_keeps_its_mass():
+    mu0 = new_measure(HP, [((0.0, 2e-9), 1.0)])
+    mu1 = new_measure(HP, [((1.0, 1.0 + 2e-9), 1.0)])
+    measure, dropped = interpolate_detail(geodesic_path(mu0, mu1, 2), 0.5)
+    assert dropped == 0.0
+    assert measure.total_mass == 2.0

@@ -217,6 +217,18 @@ def test_float_range_error_for_library_callers(atoms, p):
     assert isinstance(info.value, PartialOTError) and isinstance(info.value, OverflowError)
 
 
+def test_cost_underflow_is_a_float_range_error():
+    mu = new_measure(HP, [((0.0, 1.0), 1.0)])
+    nu = new_measure(HP, [((1e-120, 1.0), 1.0)])
+    with pytest.raises(FloatRangeError, match="value out of the float range"):
+        wb_distance(mu, nu, 3)
+    with pytest.raises(FloatRangeError):
+        cost_c(HP, (0.0, 1e-120), (0.0, 1.0), 3)  # d(x, A)^p in the boundary column
+    # Equal points and points on A cost exactly 0; nothing underflows there.
+    assert wb_distance(mu, mu, 3) == 0.0
+    assert cost_c(HP, (1.0, 1.0), (1.0, 1.0), 3) == 0.0
+
+
 def test_solve_direct_vs_boundary_branch():
     mu = new_measure(HP, [((0, 1), 1.0)])
     nu3 = new_measure(HP, [((0, 3), 1.0)])
