@@ -413,8 +413,8 @@ def certify_optimal(
     margins = marginals(plan)
     got_mu, got_nu = margins
     if not (
-        measures_close(got_mu, mu, coord_tol=0.0, mass_tol=1e-10)
-        and measures_close(got_nu, nu, coord_tol=0.0, mass_tol=1e-10)
+        measures_close(got_mu, mu, mass_tol=1e-10)
+        and measures_close(got_nu, nu, mass_tol=1e-10)
     ):
         raise InadmissiblePlanError("plan marginals do not match the prescribed measures")
 

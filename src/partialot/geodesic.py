@@ -12,7 +12,7 @@ the non-branching property.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidPointError, UnsupportedPairError, check_exponent
+from .errors import UnsupportedPairError, check_exponent
 from .measures import DiscreteMeasure, _canonical_atoms, measures_close
 from .pairs import _check_t
 from .solver import solve, solve_detail, wb_distance
@@ -152,13 +152,14 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
     reproduces mu1.  When either solve may have other optimal plans the report
     is flagged degenerate and the two booleans carry no pass/fail meaning.
 
-    Both booleans read the re-solve to a relative 1e-8, so every scale gets
-    the same report.  Entries into A, and entries carrying at most 1e-8 of
-    their target's mass at t0 (rounding-level flow), are left out.  With
-    ``r`` 1e-8 times the largest coordinate magnitude of mu0 and mu1, an
-    extended point within ``r`` of A has left Omega; every other one must
-    lie within ``r`` of an atom of mu1, the nearest of which takes its mass.
-    The masses so collected must equal mu1's to a relative 1e-8.
+    Entries into A, and entries carrying at most 1e-8 of their target's
+    mass at t0 (rounding-level flow), are left out.  Every other entry
+    (x, w) of the re-solve extends exactly as the first plan's entry from x
+    (from any point of A when x is on A) whose point at t0 is w; an entry
+    with no such match is not reproduced.  One whose match ends on A has
+    left Omega by t = 1, and every other one puts its mass at its match's
+    end.  The masses so collected must equal mu1's to a relative 1e-8, so
+    every scale gets the same report.
     """
     p = check_exponent(p)
     if p <= 1.0:
@@ -188,30 +189,20 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
         receivers.setdefault(w, set()).add(x)
     map_induced = all(len(srcs) == 1 for srcs in receivers.values())
 
-    reach = _PROBE_TOL * max(
-        (abs(c) for mu in (mu0, mu1) for pt, _ in mu.atoms for c in pt), default=0.0
-    )
-    got = {}
-    endpoint_reproduced = True
-    for x, w, m in moves:
-        try:
-            z = pair.validate_point(tuple(xc + (wc - xc) / t0 for xc, wc in zip(x, w)))
-        except InvalidPointError:
-            endpoint_reproduced = False
-            break
-        if pair._dist_to_A(z) <= reach:
-            continue  # the extended segment has left Omega by t = 1
-        near = min(((pair._distance(z, y), y) for y, _ in mu1.atoms), default=None)
-        if near is None or near[0] > reach:
-            endpoint_reproduced = False
-            break
-        got[near[1]] = got.get(near[1], 0.0) + m
+    def key(x, w):
+        return None if pair._in_A(x) else x, w
+
+    # Each entry of the first plan put its mass at its point at t0 in mu_t0.
+    end = {key(x, pair._geo_point(x, y, t0)): y for x, y, _ in first.plan.entries}
+    endpoint_reproduced = all(key(x, w) in end for x, w, _ in moves)
     if endpoint_reproduced:
+        got = {}
+        for x, w, m in moves:
+            y = end[key(x, w)]
+            if not pair._in_A(y):  # else the segment has left Omega by t = 1
+                got[y] = got.get(y, 0.0) + m
         endpoint_reproduced = measures_close(
-            DiscreteMeasure(pair, tuple(sorted(got.items()))),
-            mu1,
-            coord_tol=0.0,
-            mass_tol=_PROBE_TOL,
+            DiscreteMeasure(pair, tuple(sorted(got.items()))), mu1, mass_tol=_PROBE_TOL
         )
 
     return BranchProbeReport(

@@ -129,21 +129,17 @@ def new_diagram(points, pair=None) -> PersistenceDiagram:
     return PersistenceDiagram(pair, tuple(sorted(checked)))
 
 
-def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, coord_tol: float, mass_tol: float) -> bool:
-    """Atom-for-atom comparison in canonical order.
+def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, mass_tol: float) -> bool:
+    """True iff a and b have atoms at the same points, with close masses.
 
-    Paired atoms may lie up to ``coord_tol`` apart (0 asks for equal points)
-    and their masses may differ by ``mass_tol`` times the larger one, a
-    purely relative rule that gives every mass scale the same answer.
-    Assumes atoms are separated by much more than ``coord_tol`` (generic
-    instances), so pairing them in canonical order is the right pairing.
+    Atoms are paired in canonical order, which pairs equal points.  Paired
+    masses may differ by ``mass_tol`` times the larger one, a purely
+    relative rule that gives every mass scale the same answer.
     """
     if len(a.atoms) != len(b.atoms):
         return False
     for (pa, ma), (pb, mb) in zip(a.atoms, b.atoms):
-        if pa != pb and a.pair._distance(pa, pb) > coord_tol:
-            return False
-        if abs(ma - mb) > mass_tol * max(ma, mb):
+        if pa != pb or abs(ma - mb) > mass_tol * max(ma, mb):
             return False
     return True
 

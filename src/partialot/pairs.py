@@ -16,8 +16,11 @@ The Euclidean pairs are convex, hence geodesic; the finite pair is not.
 Points are plain tuples of floats for the Euclidean pairs and integer
 indices for finite pairs.  A point is only meaningful for the pair it was
 validated against; mixing pairs raises :class:`InvalidPointError`.
-A point is on A iff its distance to A is exactly 0: no tolerance, so a
-scaled copy of an input is decided as the input is.
+Both decisions on a point are exact: it is in X iff its coordinates satisfy
+X's inequalities, and on A iff its distance to A is exactly 0.  With no
+tolerance, a scaled copy of an input is decided as the input is.  Geodesic
+points of X stay in X: on the half-plane because rounding is monotone,
+and on the box because each coordinate is clamped to its range.
 
 All pair objects are immutable and hashable; they are safe to share between
 threads.
@@ -30,10 +33,6 @@ from fractions import Fraction
 from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError
 
 Point = "tuple[float, ...] | int"
-
-# Slack (relative) admitted when checking that a point lies inside X; covers
-# round-off from convex combinations of valid points.
-_CONTAINMENT_SLACK = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -215,7 +214,7 @@ class HalfPlanePair(MetricPair):
 
     def validate_point(self, x) -> tuple:
         a, b = _as_coords(x, 2, self)
-        if a - b > _CONTAINMENT_SLACK * (1.0 + abs(a) + abs(b)):
+        if a > b:
             raise InvalidPointError(f"point {x!r} lies below the diagonal")
         return (a, b)
 
@@ -223,7 +222,7 @@ class HalfPlanePair(MetricPair):
 
     def _dist_to_A(self, x) -> float:
         a, b = x
-        return max(0.0, b - a) / _SQRT2
+        return (b - a) / _SQRT2
 
     def _project_A(self, x) -> tuple:
         a, b = x
@@ -244,10 +243,10 @@ class HalfPlanePair(MetricPair):
         (xs, ys), k = _on_one_grid((xs, ys))
         # The scale 2^(2k + 1) takes the boundary's / 2, so direct cells double.
         rows = [
-            [2 * ((xa - ya) ** 2 + (xb - yb) ** 2) for ya, yb in ys] + [max(0, xb - xa) ** 2]
+            [2 * ((xa - ya) ** 2 + (xb - yb) ** 2) for ya, yb in ys] + [(xb - xa) ** 2]
             for xa, xb in xs
         ]
-        rows.append([max(0, b - a) ** 2 for a, b in ys] + [0])
+        rows.append([(b - a) ** 2 for a, b in ys] + [0])
         return rows, 1 << (2 * k + 1)
 
     def describe(self) -> dict:
@@ -294,18 +293,14 @@ class EuclideanBoxPair(MetricPair):
     def validate_point(self, x) -> tuple:
         coords = _as_coords(x, self.dim, self)
         for c, l, h in zip(coords, self.lo, self.hi):
-            slack = _CONTAINMENT_SLACK * (1.0 + abs(l) + abs(h))
-            if c < l - slack or c > h + slack:
+            if not l <= c <= h:
                 raise InvalidPointError(f"point {x!r} lies outside the box")
         return coords
 
     _distance = staticmethod(math.dist)
 
     def _dist_to_A(self, x) -> float:
-        best = math.inf
-        for c, l, h in zip(x, self.lo, self.hi):
-            best = min(best, c - l, h - c)
-        return max(0.0, best)
+        return min(min(c - l, h - c) for c, l, h in zip(x, self.lo, self.hi))
 
     def _project_A(self, coords) -> tuple:
         # Among nearest face projections pick the lexicographically smallest
@@ -320,8 +315,12 @@ class EuclideanBoxPair(MetricPair):
         return best[1]
 
     def _geo_point(self, x, y, t: float) -> tuple:
+        # A face coordinate c of both points can round past it (s * c + t * c
+        # != c); the clamp keeps the point in X and moves no point inside it.
         s = 1.0 - t
-        return tuple(s * a + t * b for a, b in zip(x, y))
+        return tuple(
+            min(max(s * a + t * b, l), h) for a, b, l, h in zip(x, y, self.lo, self.hi)
+        )
 
     def cost_matrix(self, xs, ys, p) -> tuple:
         """At p = 2 the exact squares |x - y|^2 and d(x, A)^2 in int arithmetic."""
@@ -331,7 +330,7 @@ class EuclideanBoxPair(MetricPair):
         (xs, ys, (lo, hi)), k = _on_one_grid((xs, ys, (self.lo, self.hi)))
 
         def to_A(pt):
-            return max(0, min(min(c - l, h - c) for c, l, h in zip(pt, lo, hi))) ** 2
+            return min(min(c - l, h - c) for c, l, h in zip(pt, lo, hi)) ** 2
 
         rows = [
             [sum((a - b) ** 2 for a, b in zip(x, y)) for y in ys] + [to_A(x)] for x in xs

@@ -183,7 +183,6 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     if not measures_close(
         DiscreteMeasure(pair, tuple(sorted(m_in.items()))),
         DiscreteMeasure(pair, tuple(sorted(m_out.items()))),
-        coord_tol=0.0,
         mass_tol=1e-10,
     ):
         raise MarginalMismatchError("the middle marginals of the glued plans differ")

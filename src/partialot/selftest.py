@@ -283,13 +283,13 @@ def criterion_geodesics(seed=DEFAULT_SEED, count=50):
         # Exact atom points; masses to about an ulp, because plan masses
         # are rounded exact flows.
         for t, want in ((0.0, mu0), (1.0, mu1)):
-            if not measures_close(interpolate(path, t), want, coord_tol=0.0, mass_tol=1e-12):
+            if not measures_close(interpolate(path, t), want, mass_tol=1e-12):
                 recovery_ok = False
         for t in grid[1:-1]:
             for x, y, _ in path.plan.entries:
                 if pair.in_A(x) or pair.in_A(y):
                     continue
-                if pair.dist_to_A(pair.geo_point(x, y, t)) <= 1e-12:
+                if pair.in_A(pair.geo_point(x, y, t)):
                     interior_ok = False
     ok = worst <= 1e-8 and recovery_ok and interior_ok
     return worst, ok, f"{count} paths, recovery={recovery_ok}, interior={interior_ok}"
