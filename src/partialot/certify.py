@@ -21,8 +21,11 @@ on cell (i, j), entries leaving Omega on (i, A), entries entering it on
   the optimum; nothing is re-solved.
 
 The cell checks are exact in integer arithmetic and report their violation
-rounded up to a float.  A violation is scaled as ``raw / (1 + magnitude)``,
-and a check passes when that is at most ``tol``; cyclical monotonicity,
+rounded up to a float.  Each violation is relative to the cost it is
+measured against: an entry's excess over its detour through A, a cell's
+over its cost, a shipping distance's over d(x, A) and the gap over the
+plan's cost.  So scaling X scales nothing a check passes or fails on, and
+a check passes when its value is at most ``tol``; cyclical monotonicity,
 being exact, passes only at 0.
 """
 
@@ -62,10 +65,6 @@ class CertificateReport:
         )
 
 
-def _scaled(violation: float, magnitude: float) -> float:
-    return violation / (1.0 + abs(magnitude))
-
-
 def _validated(pair, entries) -> list:
     """Plan entries with both endpoints validated once, for the pair's own formulas.
 
@@ -103,13 +102,17 @@ def _plan_cells(plan: TransportPlan, margins, p: float) -> tuple:
 
 
 def concentration_violation(plan: TransportPlan, p) -> float:
-    """Worst scaled excess c_ij - (c_iA + c_Aj) over interior entries (0 when none)."""
+    """Worst excess (c_ij - detour) / detour over interior entries (0 when none).
+
+    The detour c_iA + c_Aj is 0 only for two points of A, and there any
+    excess is infinite.
+    """
     p = check_exponent(p)
-    _, _, cells, scale, support = _plan_cells(plan, marginals(plan), p)
-    return _concentration(cells, scale, support)
+    _, _, cells, _, support = _plan_cells(plan, marginals(plan), p)
+    return _concentration(cells, support)
 
 
-def _concentration(cells, scale: int, support) -> float:
+def _concentration(cells, support) -> float:
     """:func:`concentration_violation` on the plan's cells."""
     m, n = len(cells) - 1, len(cells[0]) - 1
     worst = 0.0
@@ -117,7 +120,8 @@ def _concentration(cells, scale: int, support) -> float:
         if i < m and j < n:
             detour = cells[i][n] + cells[m][j]
             if cells[i][j] > detour:
-                worst = max(worst, _rounded_up(cells[i][j] - detour, scale + detour))
+                excess = cells[i][j] - detour
+                worst = max(worst, _rounded_up(excess, detour) if detour else math.inf)
     return worst
 
 
@@ -237,11 +241,10 @@ def _dyadic(values, bits: int = 0) -> tuple:
 def _one_ulp_box(cells, scale: int, support, phi, psi):
     """The float potentials and the cells on one int scale, and exact potentials near them.
 
-    Returns ``(tight, cells, phi, psi, unit)``, each value standing for
-    int / unit, or None when a potential is not finite.  ``tight`` holds
-    exact potentials within one ulp of each float, extended by 0 on A,
-    that are feasible on every cell and tight on the support, or None when
-    there are none.  Float rounding moves exact potentials by less than an
+    Returns ``(tight, cells, phi, psi)``, all ints on one scale, or None
+    when a potential is not finite.  ``tight`` holds exact potentials within
+    one ulp of each float, extended by 0 on A, that are feasible on every
+    cell and tight on the support, or None when there are none.  Float rounding moves exact potentials by less than an
     ulp, so a plan certified by exact potentials has them in this box.
     """
     if not all(math.isfinite(v) for v in phi + psi):
@@ -259,7 +262,7 @@ def _one_ulp_box(cells, scale: int, support, phi, psi):
         [f - u for f, u in zip(phi, ulps)] + [0],
         [g + u for g, u in zip(psi, ulps[m:])] + [0],
     )
-    return tight, cells, phi, psi, 1 << k
+    return tight, cells, phi, psi
 
 
 def _potential_values(xs, ys, duals) -> tuple:
@@ -274,14 +277,15 @@ def _potential_values(xs, ys, duals) -> tuple:
 
 
 def potentials_violation(plan: TransportPlan, duals, p) -> float:
-    """Worst scaled violation of dual feasibility and complementary slackness.
+    """Worst relative violation of dual feasibility and complementary slackness.
 
     0.0 when exact potentials within one ulp of the given ones are feasible
     on every cell of the plan's marginals (phi_i + psi_j <= c_ij, and
     phi_i <= c_iA and psi_j <= c_Aj, the vanish-on-A condition moved to the
     edges) and tight on every entry carrying mass.  Otherwise the given
-    potentials' own worst violation, each over 1 + its cell's cost, exact
-    and rounded up.  A non-finite potential makes the violation infinite.
+    potentials' own worst violation, each over its cell's cost, exact and
+    rounded up; a violation on a cell of cost 0, or a non-finite potential,
+    makes it infinite.
     """
     p = check_exponent(p)
     xs, ys, cells, scale, support = _plan_cells(plan, marginals(plan), p)
@@ -293,7 +297,7 @@ def _potentials(box, support) -> float:
     """:func:`potentials_violation` given the one-ulp search."""
     if box is None:
         return math.inf
-    tight, cells, phi, psi, unit = box
+    tight, cells, phi, psi = box
     if tight is not None:
         return 0.0
     carried = set(support)
@@ -304,7 +308,7 @@ def _potentials(box, support) -> float:
             if (i, j) in carried:
                 excess = abs(excess)
             if excess > 0:
-                worst = max(worst, _rounded_up(excess, unit + c))
+                worst = max(worst, _rounded_up(excess, c) if c else math.inf)
     return worst
 
 
@@ -315,7 +319,7 @@ def check_potentials(plan: TransportPlan, duals, p, tol: float = 1e-9) -> bool:
 
 
 def boundary_shipping_violation(plan: TransportPlan) -> float:
-    """Worst scaled |d(x, y) - d(x, A)| over boundary entries."""
+    """Worst |d(x, y) - d(x, A)| / d(x, A) over boundary entries, x their point of Omega."""
     _, outgoing, incoming = decompose(plan)
     return _shipping(plan.pair, outgoing, incoming)
 
@@ -325,10 +329,10 @@ def _shipping(pair, outgoing: TransportPlan, incoming: TransportPlan) -> float:
     worst = 0.0
     for x, a, _ in _validated(pair, outgoing.entries):
         d = pair._dist_to_A(x)
-        worst = max(worst, _scaled(abs(pair._distance(x, a) - d), d))
+        worst = max(worst, abs(pair._distance(x, a) - d) / d)
     for a, y, _ in _validated(pair, incoming.entries):
         d = pair._dist_to_A(y)
-        worst = max(worst, _scaled(abs(pair._distance(a, y) - d), d))
+        worst = max(worst, abs(pair._distance(a, y) - d) / d)
     return worst
 
 
@@ -339,7 +343,7 @@ def check_boundary_shipping(plan: TransportPlan, tol: float = 1e-9) -> bool:
 
 
 def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
-    """Scaled gap between the plan's cost and a weak-duality bound on its optimum.
+    """Relative gap between the plan's cost and a weak-duality bound on its optimum.
 
     The plan is read as a flow on the boundary-augmented problem of its own
     marginals, over the cells of ``pair.cost_matrix``: interior entries use
@@ -349,10 +353,10 @@ def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
     on the plan's support, when they exist, and then D = P; otherwise the
     given potentials made feasible, each phi_i lowered by the largest
     violation of phi_i + psi_j <= c_ij and phi_i <= c_iA in its row and each
-    psi_j capped at c_Aj.  Returns (P - D) / (1 + max(D, 0)), exact and
-    rounded up, so a value <= tol proves that P exceeds the optimum for the
-    plan's marginals by at most tol * (1 + optimum); whether those match
-    the prescribed measures is checked apart.  Every float is dyadic, so
+    psi_j capped at c_Aj.  Returns (P - D) / P, exact and rounded up, or 0
+    when P = 0, because the optimum is >= 0.  So a value <= tol proves that
+    P exceeds the optimum for the plan's marginals by at most tol * P;
+    whether those match the prescribed measures is checked apart.  Every float is dyadic, so
     all of this is integer arithmetic over powers of two.  A potential
     missing for an atom raises :class:`MissingPotentialError`; a non-finite
     one makes the gap infinite.
@@ -367,9 +371,9 @@ def _duality_gap(plan: TransportPlan, box, support) -> float:
     """:func:`duality_gap_violation` given the one-ulp search."""
     if box is None:
         return math.inf
-    tight, cells, phi, psi, unit = box
+    tight, cells, phi, psi = box
     m, n = len(phi), len(psi)
-    masses, mass_bits = _dyadic([mass for _, _, mass in plan.entries])
+    masses, _ = _dyadic([mass for _, _, mass in plan.entries])
     cost = 0
     row_flow, col_flow = [0] * (m + 1), [0] * (n + 1)
     for (i, j), mass in zip(support, masses):
@@ -386,7 +390,7 @@ def _duality_gap(plan: TransportPlan, box, support) -> float:
         ]
         psi = [min(g, c) for g, c in zip(psi, cells[m])]
     bound = sum(map(mul, row_flow, phi)) + sum(map(mul, col_flow, psi))
-    return _rounded_up(cost - bound, (unit << mass_bits) + max(bound, 0))
+    return _rounded_up(cost - bound, cost) if cost else 0.0
 
 
 def certify_optimal(
@@ -423,7 +427,7 @@ def certify_optimal(
     xs, ys, cells, scale, support = _plan_cells(plan, margins, p)
     box = _one_ulp_box(cells, scale, support, *_potential_values(xs, ys, duals))
     _, outgoing, incoming = decompose(plan)
-    conc = _concentration(cells, scale, support)
+    conc = _concentration(cells, support)
     # Tight potentials within one ulp also prove cyclical monotonicity.
     mono = 0.0 if box is not None and box[0] is not None else _monotonicity(cells, scale, support)
     pots = _potentials(box, support)

@@ -54,15 +54,16 @@ def cost_ctilde(pair, x, y, p) -> float:
 
 
 def in_S(pair, x, y, p, tol: float = 1e-9) -> bool:
-    """True iff the direct cost exceeds the detour through A by at most tol * (1 + detour).
+    """True iff the direct cost exceeds the detour through A by at most tol * detour.
 
-    This is certify's exact concentration rule on one cell.  Optimal plans
-    only charge pairs in this set.
+    This is certify's exact concentration rule on one cell, so it is
+    scale-free; with x and y both on A the detour is 0 and only a direct
+    cost of 0 is in S.  Optimal plans only charge pairs in this set.
     """
     tol = check_tol(tol, "tolerance")
     p = check_exponent(p)
-    cells, scale = pair.cost_matrix((x,), (y,), p)
-    return _concentration(cells, scale, [(0, 0)]) <= tol
+    cells, _ = pair.cost_matrix((x,), (y,), p)
+    return _concentration(cells, [(0, 0)]) <= tol
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     """Solve for Wb_p with full diagnostics (see :func:`solve`).
 
     Raises :class:`FloatRangeError` when a cost, the optimum or a potential
-    lies beyond the float range.
+    lies beyond the float range, or a positive optimum Wb_p^p underflows to 0.
     """
     p = check_exponent(p)
     problem = build_augmented_problem(mu, nu, p)
@@ -160,11 +161,14 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     v_b = v[n]
     u_b = u[m]
     try:
-        wb = (total / (mass_scale * cost_scale)) ** (1.0 / p)
+        wb_p = total / (mass_scale * cost_scale)
         phi = {mu.atoms[i][0]: (u[i] + v_b) / cost_scale for i in range(m)}
         psi = {nu.atoms[j][0]: (v[j] + u_b) / cost_scale for j in range(n)}
     except OverflowError as exc:
         raise FloatRangeError(f"value out of the float range: {exc}") from exc
+    if total > 0 and wb_p == 0.0:
+        raise FloatRangeError("value out of the float range: the optimum Wb_p^p > 0 underflows")
+    wb = wb_p ** (1.0 / p)
 
     # The atoms were validated when the measures were built, and again by
     # cost_matrix, so the plan is built from them without validating.

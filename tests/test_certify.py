@@ -26,6 +26,7 @@ from partialot import (
     zero_measure,
 )
 from partialot.certify import (
+    boundary_shipping_violation,
     cyclical_monotonicity_violation,
     duality_gap_violation,
     potentials_violation,
@@ -178,6 +179,19 @@ def test_boundary_shipping_examples():
     bad = new_plan(HP, [((0, 5), (0, 0), 1.0)], 2)
     assert not check_boundary_shipping(bad)
     assert check_boundary_shipping(new_plan(HP, [((0, 1), (0, 2), 1.0)], 2))
+
+
+def test_boundary_shipping_is_relative_to_the_distance_to_A():
+    # At 2^-100, (0, 2^-99) shipped to (-2^-100, -2^-100) instead of its
+    # nearest point (2^-100, 2^-100) of A travels sqrt(5) times d(x, A).
+    lam = 2.0**-100
+    mu = new_measure(HP, [((0.0, 2 * lam), 1.0)])
+    duals = solve(mu, zero_measure(HP), 2).duals
+    far = new_plan(HP, [((0.0, 2 * lam), (-lam, -lam), 1.0)], 2)
+    assert boundary_shipping_violation(far) == pytest.approx(math.sqrt(5) - 1, rel=1e-15)
+    report = certify_optimal(mu, zero_measure(HP), far, duals, 2)
+    assert not report.boundary_shipping
+    assert report.concentrated_on_S and report.potentials_valid and report.cost_optimal
 
 
 def test_certify_optimal_solver_output():
@@ -414,7 +428,8 @@ def test_duality_gap_rejects_weak_feasible_potentials():
     zeros = DualPotentials({pt: 0.0 for pt, _ in mu.atoms}, {pt: 0.0 for pt, _ in nu.atoms})
     report = certify_optimal(mu, nu, r.plan, zeros, 2)
     assert not report.cost_optimal
-    assert duality_gap_violation(r.plan, zeros, 2) == pytest.approx(plan_cost(r.plan, 2))
+    # The gap is relative to the plan's cost, and a bound of 0 leaves all of it.
+    assert duality_gap_violation(r.plan, zeros, 2) == 1.0
     assert duality_gap_violation(r.plan, r.duals, 2) <= 1e-12
 
 
@@ -429,16 +444,17 @@ def test_duality_gap_corrects_infeasible_potentials():
     assert 0.5 + 4.5 == pytest.approx(plan_cost(canonical, 2))
     report = certify_optimal(mu, nu, canonical, inflated, 2)
     assert not report.cost_optimal
-    # phi drops by 1 to -0.5, so the bound is 4 and the gap (5 - 4) / (1 + 4).
+    # phi drops by 1 to -0.5, so the bound is 4 and the gap (5 - 4) / 5.
     assert duality_gap_violation(canonical, inflated, 2) == 0.2
 
     # With twice the sink mass, psi above its boundary cost 4.5 would lift the
-    # objective past the plan's cost 0.5 + 2 * 4.5 = 9.5; capped, it is -10 + 9.
+    # objective past the plan's cost 0.5 + 2 * 4.5 = 9.5; capped, it is -10 + 9,
+    # and the gap (9.5 + 1) / 9.5.
     nu2 = new_measure(HP, [((0, 3), 2.0)])
     canonical2 = new_plan(HP, [((0, 1), (0.5, 0.5), 1.0), ((1.5, 1.5), (0, 3), 2.0)], 2)
     above_A = DualPotentials({(0.0, 1.0): -10.0}, {(0.0, 3.0): 14.0})
     assert not certify_optimal(mu, nu2, canonical2, above_A, 2).cost_optimal
-    assert duality_gap_violation(canonical2, above_A, 2) == 10.5
+    assert duality_gap_violation(canonical2, above_A, 2) == 10.5 / 9.5
 
 
 def test_duality_gap_exact_when_potentials_dwarf_the_optimum():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import partialot.geodesic
 from partialot import (
     EuclideanBoxPair,
     FinitePair,
@@ -18,6 +19,7 @@ from partialot import (
     interpolate,
     interpolate_detail,
     new_measure,
+    new_plan,
     p_energy,
     wb_distance,
     zero_measure,
@@ -136,6 +138,34 @@ def test_branch_probe_generic():
     assert not report.degenerate
     assert report.map_induced
     assert report.endpoint_reproduced
+
+
+@pytest.mark.parametrize(
+    "targets, report",
+    [
+        (((0.0, 1.5), (2.0, 5.5)), (True, True)),  # the re-solve itself
+        (((2.0, 5.5), (0.0, 1.5)), (True, False)),  # crossed targets
+        (((0.0, 1.5), (0.0, 1.5)), (False, False)),  # both sources on one target
+    ],
+)
+def test_branch_probe_reads_the_re_solved_plan(monkeypatch, targets, report):
+    # test_branch_probe_generic's instance; its interpolant at t0 = 0.5 is
+    # (0, 1.5) and (2, 5.5), and the second solve's plan is replaced.
+    mu0 = new_measure(HP, [((0, 1), 1.0), ((2, 5), 1.0)])
+    mu1 = new_measure(HP, [((0, 2), 1.0), ((2, 6), 1.0)])
+    real, calls = partialot.geodesic.solve_detail, []
+
+    def solve_detail(mu, nu, p):
+        calls.append(real(mu, nu, p))
+        if len(calls) == 1:
+            return calls[0]
+        entries = [(x, w, 1.0) for (x, _), w in zip(mu.atoms, targets)]
+        return calls[1]._replace(plan=new_plan(HP, entries, p))
+
+    monkeypatch.setattr(partialot.geodesic, "solve_detail", solve_detail)
+    got = branch_probe(mu0, mu1, 0.5, 2)
+    assert len(calls) == 2
+    assert (got.map_induced, got.endpoint_reproduced) == report
 
 
 def test_branch_probe_identity():

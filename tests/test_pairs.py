@@ -11,6 +11,7 @@ from partialot import (
     HalfPlanePair,
     InvalidPointError,
     UnsupportedPairError,
+    new_diagram,
 )
 
 HP = HalfPlanePair()
@@ -124,6 +125,29 @@ def test_point_validation():
         FIN.validate_point(7)
     with pytest.raises(InvalidPointError):
         FIN.validate_point((0, 1))
+
+
+def test_containment_is_exact():
+    # No slack below magnitude 1: the point is 7e-14 below the diagonal.
+    with pytest.raises(InvalidPointError, match="below the diagonal"):
+        HP.validate_point((2e-13, 1e-13))
+    with pytest.raises(InvalidPointError, match="below the diagonal"):
+        new_diagram([(2e-13, 1e-13)])
+    for k in range(2):
+        for face in (BOX.lo, BOX.hi):
+            outside = list(face)
+            outside[k] = math.nextafter(face[k], -math.inf if face is BOX.lo else math.inf)
+            with pytest.raises(InvalidPointError, match="outside the box"):
+                BOX.validate_point(outside)
+            assert BOX.in_A(face)
+
+
+def test_box_geo_point_stays_in_the_box():
+    # 0.7 * 0.1 + 0.3 * 0.1 rounds to 0.09999999999999999, below the face.
+    box = EuclideanBoxPair((0.1, 0.1), (4.0, 4.0))
+    point = box.geo_point((0.1, 1.0), (0.1, 2.0), 0.3)
+    assert point[0] == 0.1 and box.in_A(point)
+    assert box.validate_point(point) == point
 
 
 def test_finite_pair_table_validation():

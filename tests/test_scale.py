@@ -1,4 +1,4 @@
-"""Scale invariance: membership in A is exact, so every scale gets the same answer.
+"""Scale invariance: decisions on points are exact, so every scale gets the same answer.
 
 Scaling X (and A with it) by a power of two ``lam`` scales ``Wb_p`` and
 ``d_p`` by ``lam``.  Every cost cell scales by ``lam ** p``: exactly at
@@ -16,13 +16,17 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from partialot import (  # noqa: E402
+    DualPotentials,
     EuclideanBoxPair,
     HalfPlanePair,
+    InvalidPointError,
     diagram_distance,
     geodesic_path,
     interpolate_detail,
+    certify_optimal,
     new_diagram,
     new_measure,
+    new_plan,
     solve,
 )
 
@@ -56,6 +60,58 @@ def _assert_scaled(value, base, lam, p):
 
 def _assert_entries_scaled(scaled, base, lam):
     assert scaled == tuple((_scaled(s, lam), _scaled(d, lam), m) for s, d, m in base)
+
+
+def _is_valid(pair, point):
+    try:
+        pair.validate_point(point)
+    except InvalidPointError:
+        return False
+    return True
+
+
+_anywhere = st.tuples(_coord, _coord)
+
+
+@given(_anywhere, _anywhere, _k)
+def test_containment_in_X_is_decided_alike_at_every_scale(x, y, k):
+    lam = 2.0**-k
+    assert _is_valid(HP, _scaled(x, lam)) == _is_valid(HP, x) == (x[0] <= x[1])
+    inside = all(0.0 <= c <= 4.0 for c in y)
+    assert _is_valid(_box(lam), _scaled(y, lam)) == _is_valid(_box(1.0), y) == inside
+
+
+_real = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _segment_in_X(draw):
+    """A pair and two points of its X, face points included."""
+    if draw(st.booleans()):
+        def point():
+            a, b = sorted((draw(_real), draw(_real)))
+            return (a, a) if draw(st.booleans()) else (a, b)
+
+        return HP, point(), point()
+    # 0.7 * 0.1 + 0.3 * 0.1 and 0.9 * -0.3 + 0.1 * -0.3 round below the face.
+    lo = [draw(st.one_of(st.sampled_from([0.1, -0.3]), _real)) for _ in range(2)]
+    hi = [l + draw(st.floats(1e-6, 1e6)) for l in lo]
+    box = EuclideanBoxPair(lo, hi)
+
+    def point():
+        return tuple(
+            draw(st.one_of(st.sampled_from([l, h]), st.floats(l, h)))
+            for l, h in zip(box.lo, box.hi)
+        )
+
+    return box, point(), point()
+
+
+@given(_segment_in_X(), st.one_of(st.sampled_from([0.1, 0.3]), st.floats(0.0, 1.0)))
+def test_geodesic_points_stay_in_X(segment, t):
+    pair, x, y = segment
+    point = pair.geo_point(x, y, t)
+    assert pair.validate_point(point) == point
 
 
 @given(st.lists(_half_plane_point, max_size=5), st.lists(_half_plane_point, max_size=5), _k, _p)
@@ -106,3 +162,57 @@ def test_a_small_geodesic_keeps_its_mass():
     measure, dropped = interpolate_detail(geodesic_path(mu0, mu1, 2), 0.5)
     assert dropped == 0.0
     assert measure.total_mass == 2.0
+
+
+def _off_nearest(entries):
+    """Each boundary entry moved to the point of A that is d(x, A) * sqrt(2) farther."""
+    moved = []
+    for x, y, m in entries:
+        if HP.in_A(y) and not HP.in_A(x):
+            d = x[1] - x[0]
+            y = (y[0] - d, y[1] - d)
+        elif HP.in_A(x) and not HP.in_A(y):
+            d = y[1] - y[0]
+            x = (x[0] - d, x[1] - d)
+        moved.append((x, y, m))
+    return moved
+
+
+_atoms = st.lists(st.tuples(_half_plane_point, _mass), max_size=4)
+
+
+@given(_atoms, _atoms, _k, st.sampled_from([1.0, 2.0]))
+def test_certify_verdicts_do_not_depend_on_the_scale(mu, nu, k, p):
+    # Every check is relative to the cost it measures, so scaling X by lam,
+    # the plan with it and the potentials by lam ** p changes no verdict.
+    lam = 2.0**-k
+    r = solve(new_measure(HP, mu), new_measure(HP, nu), p)
+    halved = {x: v / 2 for x, v in r.duals.phi.items()}, {y: v / 2 for y, v in r.duals.psi.items()}
+    zeros = {x: 0.0 for x in r.duals.phi}, {y: 0.0 for y in r.duals.psi}
+    cases = [
+        (r.plan.entries, (r.duals.phi, r.duals.psi)),
+        (r.plan.entries, zeros),
+        (r.plan.entries, halved),
+        (_off_nearest(r.plan.entries), (r.duals.phi, r.duals.psi)),
+    ]
+
+    def verdicts(scale, entries, duals):
+        phi, psi = ({_scaled(x, scale): scale**p * v for x, v in side.items()} for side in duals)
+        report = certify_optimal(
+            new_measure(HP, [(_scaled(x, scale), m) for x, m in mu]),
+            new_measure(HP, [(_scaled(x, scale), m) for x, m in nu]),
+            new_plan(HP, [(_scaled(x, scale), _scaled(y, scale), m) for x, y, m in entries], p),
+            DualPotentials(phi, psi),
+            p,
+        )
+        return (
+            report.concentrated_on_S,
+            report.cyclically_monotone,
+            report.potentials_valid,
+            report.boundary_shipping,
+            report.cost_optimal,
+        )
+
+    base = [verdicts(1.0, *case) for case in cases]
+    assert all(base[0])
+    assert [verdicts(lam, *case) for case in cases] == base

@@ -63,6 +63,17 @@ def test_in_S_examples():
     assert in_S(HP, (0, 2), (0, 2), 2)
 
 
+def test_in_S_is_scale_free():
+    # The rule is relative to the detour: a direct cost 200 times the detour
+    # is out of S at every scale, not only above magnitude 1.
+    for lam in (1.0, 2.0**-20, 2.0**-100):
+        assert not in_S(HP, (0.0, lam), (10 * lam, 11 * lam), 2)
+        assert in_S(HP, (0.0, lam), (0.0, 3 * lam), 2)
+    # Two points of A: the detour is 0, so only a direct cost of 0 is in S.
+    assert in_S(HP, (1, 1), (1, 1), 2, tol=0.0)
+    assert not in_S(HP, (1, 1), (2, 2), 2)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
 def test_in_S_tolerance_must_be_finite_and_non_negative(tol):
     # NaN would leave every pair out of S, an infinite tolerance put every pair in.
@@ -227,6 +238,22 @@ def test_cost_underflow_is_a_float_range_error():
     # Equal points and points on A cost exactly 0; nothing underflows there.
     assert wb_distance(mu, mu, 3) == 0.0
     assert cost_c(HP, (1.0, 1.0), (1.0, 1.0), 3) == 0.0
+
+
+def test_optimum_underflow_is_a_float_range_error():
+    # At p = 2 the exact cells (b - a)^2 / 2 are about 5e-341, and so is the
+    # positive optimum, which is 0 as a float; at p = 1 it is 7.07e-171.
+    mu = new_measure(HP, [((0.0, 1e-170), 1.0)])
+    sigma = new_diagram([(0.0, 1e-170)])
+    for call in (
+        lambda: wb_distance(mu, zero_measure(HP), 2),
+        lambda: diagram_distance(sigma, new_diagram([]), 2),
+    ):
+        with pytest.raises(FloatRangeError, match="^value out of the float range: the optimum"):
+            call()
+    want = 1e-170 / math.sqrt(2)
+    assert wb_distance(mu, zero_measure(HP), 1) == pytest.approx(want, rel=1e-15)
+    assert diagram_distance(sigma, new_diagram([]), 1)[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_solve_direct_vs_boundary_branch():
