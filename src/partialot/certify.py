@@ -24,9 +24,9 @@ The cell checks are exact in integer arithmetic and report their violation
 rounded up to a float.  Each violation is relative to the cost it is
 measured against: an entry's excess over its detour through A, a cell's
 over its cost, a shipping distance's over d(x, A) and the gap over the
-plan's cost.  So scaling X scales nothing a check passes or fails on, and
-a check passes when its value is at most ``tol``; cyclical monotonicity,
-being exact, passes only at 0.
+plan's cost.  So scaling X changes no verdict.  A check passes when its
+value is at most ``tol``; cyclical monotonicity, being exact, passes only
+at 0.
 """
 
 import math

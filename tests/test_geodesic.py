@@ -143,12 +143,11 @@ def test_branch_probe_generic():
 @pytest.mark.parametrize(
     "targets, report",
     [
-        (((0.0, 1.5), (2.0, 5.5)), (True, True)),  # the re-solve itself
         (((2.0, 5.5), (0.0, 1.5)), (True, False)),  # crossed targets
         (((0.0, 1.5), (0.0, 1.5)), (False, False)),  # both sources on one target
     ],
 )
-def test_branch_probe_reads_the_re_solved_plan(monkeypatch, targets, report):
+def test_branch_probe_rejects_a_changed_re_solve(monkeypatch, targets, report):
     # test_branch_probe_generic's instance; its interpolant at t0 = 0.5 is
     # (0, 1.5) and (2, 5.5), and the second solve's plan is replaced.
     mu0 = new_measure(HP, [((0, 1), 1.0), ((2, 5), 1.0)])
