@@ -14,10 +14,10 @@ the two scales gives the exact rational ones.
 
 The basis is a spanning tree over the m sources and n sinks, rooted at
 source 0 with potential 0 and stored as parent pointers, depths and child
-sets.  The cycle of an entering cell is found by walking its two endpoints
-up to their common ancestor; after the pivot only the subtree cut off by the
-leaving cell is re-hung, and its potentials shift by the entering reduced
-cost.
+sets, with each basic flow on the child node of its cell.  The cycle of an
+entering cell is found by walking its two endpoints up to their common
+ancestor; after the pivot only the subtree cut off by the leaving cell is
+re-hung, and its potentials shift by the entering reduced cost.
 
 The masses are perturbed once (Orden 1956; in int form, Cunningham's
 strongly feasible bases, 1976): with G = m(n + 1) and K = 2G + 1, supply i
@@ -52,12 +52,13 @@ def solve_transportation(supply, demand, cost):
 
     Parameters are ints: ``supply`` (length m) and ``demand`` (length n),
     non-negative with equal sums, and ``cost`` an m x n matrix.  Returns a
-    tuple ``(flows, u, v, alt)`` of ints where ``flows`` maps ``(i, j)`` to
-    the positive flow on that cell, ``u``/``v`` are dual potentials
-    satisfying ``u[i] + v[j] <= cost[i][j]`` everywhere with equality on
-    every cell of the final basis (hence on every positive flow), and
-    ``alt`` counts non-basic cells with zero reduced cost: 0 proves the
-    optimal flows unique, and a positive count means other optima may exist.
+    tuple ``(flows, u, v, alt)`` of ints where ``flows`` maps ``(i, j)``, in
+    row-major order, to the positive flow on that cell, ``u``/``v`` are dual
+    potentials satisfying ``u[i] + v[j] <= cost[i][j]`` everywhere with
+    equality on every cell of the final basis (hence on every positive
+    flow), and ``alt`` counts non-basic cells with zero reduced cost: 0
+    proves the optimal flows unique, and a positive count means other optima
+    may exist.
     """
     m, n = len(supply), len(demand)
     if m == 0 or n == 0:
@@ -83,7 +84,9 @@ def solve_transportation(supply, demand, cost):
     alt = zeros - (m + n - 1)
 
     # A perturbed flow f is K*N + g' with |g'| <= G, so N > 0 iff f > G.
-    flows = {cell: (f + g) // k for cell, f in tree.flow.items() if f > g}
+    # The root's flow is 0: it has no cell.
+    cells = sorted((tree._cell(x), f) for x, f in enumerate(tree.flow) if f > g)
+    flows = {cell: (f + g) // k for cell, f in cells}
     return flows, u, v, alt
 
 
@@ -131,32 +134,18 @@ class _BasisTree:
     """Flows and potentials of a basis, kept as a spanning tree.
 
     Nodes are integers: sources 0..m-1 and sinks m..m+n-1.  Source 0 is the
-    root and keeps potential 0.  ``flow`` maps each basic cell ``(i, j)`` to
-    its flow, in the order the cells entered the basis.
+    root and keeps potential 0.  Every other node ``x`` is joined to
+    ``parent[x]`` by a basic cell, whose flow is ``flow[x]``.
     """
 
-    def __init__(self, m, n, cost):
+    def __init__(self, m, n):
         self.m = m
-        self.cost = cost
-        self.flow = {}
+        self.flow = [0] * (m + n)
         self.parent = [-1] * (m + n)
         self.depth = [0] * (m + n)
         self.children = [set() for _ in range(m + n)]
         self.u = [0] * m
         self.v = [0] * n
-
-    def attach(self, i, j, flow, new_source):
-        """Add basic cell (i, j) whose source (or sink) is new to the tree."""
-        m = self.m
-        self.flow[(i, j)] = flow
-        child, parent = (i, m + j) if new_source else (m + j, i)
-        self.parent[child] = parent
-        self.depth[child] = self.depth[parent] + 1
-        self.children[parent].add(child)
-        if new_source:
-            self.u[i] = self.cost[i][j] - self.v[j]
-        else:
-            self.v[j] = self.cost[i][j] - self.u[i]
 
     def _cell(self, x):
         """The basic cell joining node ``x`` to its parent."""
@@ -181,29 +170,22 @@ class _BasisTree:
             side_a.append(a)
             side_b.append(b)
             a, b = parent[a], parent[b]
-        minus = [self._cell(x) for x in side_a if x < m]
-        minus += [self._cell(x) for x in side_b if x >= m]
-        plus = [self._cell(x) for x in side_a if x >= m]
-        plus += [self._cell(x) for x in side_b if x < m]
-
-        leaving = min(minus, key=flow.__getitem__)
-        theta = flow[leaving]
-        for e in minus:
-            flow[e] -= theta
-        for e in plus:
-            flow[e] += theta
-        flow[(i0, j0)] = theta
-        del flow[leaving]
+        minus = [x for x in side_a if x < m] + [x for x in side_b if x >= m]
+        plus = [x for x in side_a if x >= m] + [x for x in side_b if x < m]
 
         # The leaving cell's child node roots the subtree that is cut off; it
         # lies on the i0 side iff that node is a source.
-        li, lj = leaving
-        cut = li if parent[li] == m + lj else m + lj
+        cut = min(minus, key=flow.__getitem__)
+        theta = flow[cut]
+        for x in minus:
+            flow[x] -= theta
+        for x in plus:
+            flow[x] += theta
         if cut < m:
             start, anchor, du, dv = i0, m + j0, rc, -rc
         else:
             start, anchor, du, dv = m + j0, i0, -rc, rc
-        self._rehang(cut, start, anchor)
+        self._rehang(cut, start, anchor, theta)
 
         # Shift the subtree's potentials so the entering cell gets reduced
         # cost 0, and renumber its depths.
@@ -221,14 +203,15 @@ class _BasisTree:
                 depth[c] = d
                 stack.append(c)
 
-    def _rehang(self, cut, start, anchor):
-        """Detach the subtree under ``cut``, re-root it at ``start``, hang it on ``anchor``."""
-        parent, children = self.parent, self.children
+    def _rehang(self, cut, start, anchor, theta):
+        """Re-root the subtree under ``cut`` at ``start``, hang it on ``anchor`` by ``theta``."""
+        parent, children, flow = self.parent, self.children, self.flow
         children[parent[cut]].discard(cut)
-        x, new_parent = start, anchor
+        x, new_parent, f = start, anchor, theta
         while True:
             old_parent = parent[x]
             parent[x] = new_parent
+            flow[x], f = f, flow[x]  # a path cell keeps its flow as it turns round
             children[new_parent].add(x)
             if x == cut:
                 break
@@ -253,19 +236,28 @@ def _row_minimum(supply, demand, cost):
             theta = min(s[i], d[j])
             s[i] -= theta
             d[j] -= theta
-            cell = (i, j, theta)
-            adjacent[i].append(cell)
-            adjacent[m + j].append(cell)
+            adjacent[i].append((m + j, theta))
+            adjacent[m + j].append((i, theta))
             if s[i] == 0:
                 break
             open_columns.remove(j)
 
-    tree = _BasisTree(m, n, cost)
+    # Hang each node's neighbours but its parent below it, each with the
+    # potential that gives its cell reduced cost 0.
+    tree = _BasisTree(m, n)
+    parent, depth, flow, u, v = tree.parent, tree.depth, tree.flow, tree.u, tree.v
     stack = [0]
     while stack:
         x = stack.pop()
-        for i, j, theta in adjacent[x]:
-            if (i, j) not in tree.flow:
-                tree.attach(i, j, theta, new_source=x >= m)
-                stack.append(i if x >= m else m + j)
+        for y, theta in adjacent[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                tree.children[x].add(y)
+                flow[y] = theta
+                if y < m:
+                    u[y] = cost[y][x - m] - v[x - m]
+                else:
+                    v[y - m] = cost[x][y - m] - u[x]
+                stack.append(y)
     return tree

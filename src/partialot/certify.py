@@ -23,10 +23,10 @@ on cell (i, j), entries leaving Omega on (i, A), entries entering it on
 The cell checks are exact in integer arithmetic and report their violation
 rounded up to a float.  Each violation is relative to the cost it is
 measured against: an entry's excess over its detour through A, a cell's
-over its cost, a shipping distance's over d(x, A) and the gap over the
-plan's cost.  So scaling X changes no verdict.  A check passes when its
-value is at most ``tol``; cyclical monotonicity, being exact, passes only
-at 0.
+over its cost, a cycle's improvement over the cycle's cost, a shipping
+distance's over d(x, A) and the gap over the plan's cost.  So scaling X
+changes no verdict.  A check passes when its value is at most ``tol``;
+cyclical monotonicity, being exact, passes only at 0.
 """
 
 import math
@@ -204,15 +204,15 @@ def cyclical_monotonicity_violation(plan: TransportPlan, p) -> float:
     A x A is cyclically monotone exactly when potentials feasible on every
     cell and tight on the support exist.  Otherwise the search for them
     ends on a cycle of support cells whose reassignment lowers their total
-    cost; the value is that improvement over 1 + their total cost, exact
-    and rounded up, so it is positive.
+    cost; the value is that improvement over their total cost, exact and
+    rounded up, so it lies in (0, 1] and does not shrink with the scale of X.
     """
     p = check_exponent(p)
-    _, _, cells, scale, support = _plan_cells(plan, marginals(plan), p)
-    return _monotonicity(cells, scale, support)
+    _, _, cells, _, support = _plan_cells(plan, marginals(plan), p)
+    return _monotonicity(cells, support)
 
 
-def _monotonicity(cells, scale: int, support) -> float:
+def _monotonicity(cells, support) -> float:
     """:func:`cyclical_monotonicity_violation` on the plan's cells."""
     m, n = len(cells) - 1, len(cells[0]) - 1
     # phi starts at its bound c_iA and psi below every c_ij - c_iA (cells are
@@ -223,7 +223,7 @@ def _monotonicity(cells, scale: int, support) -> float:
         return 0.0
     taken, given = cycle
     base = sum(cells[i][j] for i, j in taken)
-    return _rounded_up(base - sum(cells[i][j] for i, j in given), scale + base)
+    return _rounded_up(base - sum(cells[i][j] for i, j in given), base)
 
 
 def check_cyclical_monotonicity(plan: TransportPlan, p) -> bool:
@@ -429,7 +429,7 @@ def certify_optimal(
     _, outgoing, incoming = decompose(plan)
     conc = _concentration(cells, support)
     # Tight potentials within one ulp also prove cyclical monotonicity.
-    mono = 0.0 if box is not None and box[0] is not None else _monotonicity(cells, scale, support)
+    mono = 0.0 if box is not None and box[0] is not None else _monotonicity(cells, support)
     pots = _potentials(box, support)
     ship = _shipping(plan.pair, outgoing, incoming)
     gap = _duality_gap(plan, box, support)

@@ -6,7 +6,8 @@
 * measure:  {"pair": <pair description or path>, "atoms": [{"point": ..., "mass": m}, ...]}
 * diagram:  {"points": [[b, d], ...], "pair": optional}   (multiplicity by repetition)
 * plan:     {"pair": ..., "p": p, "entries": [{"src": ..., "dst": ..., "mass": m}, ...],
-             "duals": {"sources": [[point, value], ...], "sinks": [...]}}  (duals optional)
+             "duals": {"sources": [[point, value], ...], "sinks": [...]}}  (duals optional,
+             one potential per point)
 
 A measure's "pair" may be a string path to a pair file, resolved relative to
 the measure file.  Floats survive a JSON round trip bit-for-bit.
@@ -158,6 +159,8 @@ def load_plan(path, default_pair=None):
             psi = {_point_from_json(pt, path): as_number(val) for pt, val in raw["sinks"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: duals malformed: {exc}") from exc
+        if len(phi) < len(raw["sources"]) or len(psi) < len(raw["sinks"]):
+            raise MalformedFileError(f"{path}: duals malformed: a point has two potentials")
         if not all(map(math.isfinite, [*phi.values(), *psi.values()])):
             raise MalformedFileError(f"{path}: duals malformed: a value is not finite")
         duals = DualPotentials(phi, psi)

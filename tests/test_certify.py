@@ -90,6 +90,17 @@ def test_cyclical_monotonicity_detects_swap():
     assert cyclical_monotonicity_violation(swapped, 2) > 1e-3
 
 
+@pytest.mark.parametrize("lam", [1.0, 2.0**-20, 2.0**-100])
+def test_cyclical_monotonicity_violation_is_scale_free(lam):
+    # The swap costs 2.25 + 0.25 and the monotone matching 0.25 + 0.25, at
+    # every scale: the improvement is 2 / 2.5 of the cycle's cost.
+    swapped = new_plan(
+        HP, [((0, lam), (0, 2.5 * lam), 1.0), ((0, 2 * lam), (0, 1.5 * lam), 1.0)], 2
+    )
+    assert cyclical_monotonicity_violation(swapped, 2) == 0.8
+    assert not check_cyclical_monotonicity(swapped, 2)
+
+
 def test_cyclical_monotonicity_single_entry_vs_virtual():
     # in S: the two-cycle against the virtual boundary pair cannot improve
     good = new_plan(HP, [((0, 1), (0, 3), 1.0)], 2)
@@ -342,15 +353,16 @@ def _random_plan(rng, pair, size, p):
 
 
 def _reference_improvement(plan, p):
-    """Largest scaled improvement of any reassignment, by exhaustive enumeration.
+    """Largest improvement of any reassignment over its cost, by exhaustive enumeration.
 
     Every permutation of the columns of every subset of the plan's support
     cells plus (A, A), on the ``cost_matrix`` ints of the plan's marginals;
-    exact, and 0 when no reassignment lowers the cost.
+    exact, and 0 when no reassignment lowers the cost.  A subset of cost 0
+    cannot improve, and is skipped.
     """
     got_mu, got_nu = marginals(plan)
     xs, ys = [x for x, _ in got_mu.atoms], [y for y, _ in got_nu.atoms]
-    cells, scale = plan.pair.cost_matrix(xs, ys, p)
+    cells, _ = plan.pair.cost_matrix(xs, ys, p)
     m, n = len(xs), len(ys)
     row_of = {x: i for i, x in enumerate(xs)}
     col_of = {y: j for j, y in enumerate(ys)}
@@ -359,11 +371,13 @@ def _reference_improvement(plan, p):
     for k in range(2, len(items) + 1):
         for subset in combinations(sorted(items), k):
             base = sum(cells[i][j] for i, j in subset)
+            if base == 0:
+                continue
             low = min(
                 sum(cells[i][j] for (i, _), j in zip(subset, cols))
                 for cols in permutations([j for _, j in subset])
             )
-            best = max(best, Fraction(base - low, scale + base))
+            best = max(best, Fraction(base - low, base))
     return best
 
 

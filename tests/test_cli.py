@@ -296,6 +296,22 @@ def test_malformed_shapes_exit_1(measures, tmp_path, capsys):
     assert "entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["sources", "sinks"])
+def test_repeated_dual_point_exits_1(measures, tmp_path, capsys, side):
+    # Keeping the last of two potentials made certify exit 3 on this file.
+    a, b = measures
+    plan_file = tmp_path / "out.plan"
+    assert main(["plan", "--p", "2", a, b, "-o", str(plan_file)]) == 0
+    capsys.readouterr()
+    data = json.loads(plan_file.read_text())
+    [[point, _]] = data["duals"][side]
+    data["duals"][side].append([point, 12345.0])
+    plan_file.write_text(json.dumps(data))
+    assert main(["certify", "--p", "2", a, b, str(plan_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "two potentials" in captured.err
+
+
 def test_infinite_mass_exits_1(measures, tmp_path, capsys):
     a, _ = measures
     bad = tmp_path / "inf.measure"

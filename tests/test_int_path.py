@@ -4,7 +4,9 @@
 the masses and the cost cells on integer scales and divides the answers back
 once.  On random instances the int simplex must be exactly optimal and agree
 with networkx, and ``solve_detail`` must give, bit for bit, the floats of a
-recomputation in Fractions.
+recomputation in Fractions.  As every optimum is an exact rational rounded
+once, ``Wb_p`` and ``d_p`` are symmetric bit for bit and ``Wb_p(mu, mu)`` is
+exactly 0.
 """
 
 import math
@@ -21,8 +23,11 @@ from partialot import (  # noqa: E402
     EuclideanBoxPair,
     FinitePair,
     HalfPlanePair,
+    diagram_distance,
+    new_diagram,
     new_measure,
     solve_detail,
+    wb_distance,
 )
 from partialot._simplex import solve_transportation  # noqa: E402
 
@@ -149,3 +154,22 @@ def test_fraction_masses_with_odd_denominators(instance, data):
     mu, nu = odd(mu), odd(nu)
     assume(math.lcm(*[m.denominator for _, m in (*mu.atoms, *nu.atoms)]) > 1)
     _check_against_reference(mu, nu, p)
+
+
+@given(measure_pairs())
+def test_wb_is_symmetric_and_zero_on_the_diagonal(instance):
+    mu, nu, p = instance
+    assert wb_distance(mu, nu, p).hex() == wb_distance(nu, mu, p).hex()
+    assert wb_distance(mu, mu, p) == 0.0
+
+
+@given(
+    st.lists(_half_plane_point(), max_size=5),
+    st.lists(_half_plane_point(), max_size=5),
+    st.sampled_from(EXPONENTS),
+)
+def test_diagram_distance_is_symmetric(sigma, tau, p):
+    sigma, tau = (
+        new_diagram([x for x in points if not HALF_PLANE.in_A(x)]) for points in (sigma, tau)
+    )
+    assert diagram_distance(sigma, tau, p)[0].hex() == diagram_distance(tau, sigma, p)[0].hex()

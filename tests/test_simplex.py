@@ -12,11 +12,12 @@ check that every basic flow stays positive.
 The pinned answers in ``data/simplex_golden.json`` were rewritten when the
 row-minimum start and block-search pricing replaced the north-west corner
 and the full most-negative scan, and again when the mass perturbation
-replaced the smallest-index leaving rule and Bland's fallback.  A pricing,
-start or leaving rule may change only what exact ties leave open: every
-instance keeps its optimal value, flows where the optimum is unique
-(``alt == 0``) and duals where the final basis has m + n - 1 positive
-flows.  To rewrite them after an intended change of answers, run
+replaced the smallest-index leaving rule and Bland's fallback.  Their flows
+are listed in row-major cell order, not in the order the basis tree keeps
+them.  A pricing, start or leaving rule may change only what exact ties
+leave open: every instance keeps its optimal value, flows where the optimum
+is unique (``alt == 0``) and duals where the final basis has m + n - 1
+positive flows.  To rewrite them after an intended change of answers, run
 ``PYTHONPATH=src python tests/test_simplex.py`` from the repository root
 and say why in CHANGES.md.
 """
@@ -169,7 +170,7 @@ def test_alternate_optimum_flagged():
 
 
 # ---------------------------------------------------------------------------
-# Pinned answers: flows (in basis order), potentials and alt counts.
+# Pinned answers: flows (in row-major order), potentials and alt counts.
 
 
 def _general_measure(rng, pair, k):
@@ -322,19 +323,26 @@ def _brute_force_entering(cost, basis, u, v, start, block):
     raise AssertionError("a negative cell outside every block")
 
 
+def _basis(tree):
+    """The tree's basic cells, each mapped to its flow."""
+    return {tree._cell(x): tree.flow[x] for x in range(1, len(tree.parent))}
+
+
 def _check_tree(tree, supply, demand, cost):
     m, n = len(supply), len(demand)
-    assert len(tree.flow) == m + n - 1
+    basis = _basis(tree)
+    assert len(basis) == m + n - 1
     assert tree.u[0] == 0 and type(tree.u[0]) is int
-    for (i, j), f in tree.flow.items():
+    assert tree.flow[0] == 0  # the root has no cell
+    for (i, j), f in basis.items():
         assert f > 0
         assert tree.u[i] + tree.v[j] == cost[i][j]
         # every basic cell is the edge from a node to its parent
         assert tree.parent[i] == m + j or tree.parent[m + j] == i
     for i in range(m):
-        assert sum(f for (a, _), f in tree.flow.items() if a == i) == supply[i]
+        assert sum(f for (a, _), f in basis.items() if a == i) == supply[i]
     for j in range(n):
-        assert sum(f for (_, b), f in tree.flow.items() if b == j) == demand[j]
+        assert sum(f for (_, b), f in basis.items() if b == j) == demand[j]
     for x in range(1, m + n):
         assert tree.depth[x] == tree.depth[tree.parent[x]] + 1
         assert x in tree.children[tree.parent[x]]
@@ -379,7 +387,7 @@ def test_row_minimum_start_is_a_spanning_tree():
         sides.add((len(supply) == 1, len(demand) == 1))
         tree = _row_minimum(supply, demand, cost)
         _check_tree(tree, supply, demand, cost)
-        assert tree.flow == _row_minimum_cells(supply, demand, cost)
+        assert _basis(tree) == _row_minimum_cells(supply, demand, cost)
     # m = 1, n = 1 and both occurred
     assert sides == {(False, False), (True, False), (False, True), (True, True)}
 
@@ -396,7 +404,7 @@ def test_entering_rules_match_brute_force():
         while True:
             _check_tree(tree, supply, demand, cost)
             got = _entering(cost, tree.u, tree.v, start, block)
-            want = _brute_force_entering(cost, tree.flow, tree.u, tree.v, start, block)
+            want = _brute_force_entering(cost, _basis(tree), tree.u, tree.v, start, block)
             assert got == want
             if got is None:
                 break
@@ -439,7 +447,7 @@ def test_every_basic_flow_stays_positive(monkeypatch):
         nonlocal pivots
         pivots += 1
         pivot(tree, *args)
-        _check_tree(tree, *masses, tree.cost)  # every basic flow > 0
+        _check_tree(tree, *masses, cost)  # every basic flow > 0
 
     monkeypatch.setattr(_BasisTree, "pivot", checked)
     enumerated = 0
