@@ -30,8 +30,8 @@ cyclical monotonicity, being exact, passes only at 0.
 """
 
 import math
-from dataclasses import dataclass
 from operator import ge, le, mul, sub
+from typing import NamedTuple
 
 from .errors import (
     InadmissiblePlanError,
@@ -44,8 +44,7 @@ from .measures import DiscreteMeasure, measures_close
 from .plans import TransportPlan, decompose, marginals
 
 
-@dataclass
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Aggregated outcome of all optimality checks."""
 
     concentrated_on_S: bool

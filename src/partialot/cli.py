@@ -33,6 +33,15 @@ _MISMATCH_ERRORS = (
     OracleSizeError,
 )
 
+#: The five checks of ``certify``: each CertificateReport field and its text label.
+_CHECKS = (
+    ("concentrated_on_S", "concentrated-on-S"),
+    ("cyclically_monotone", "cyclical-monotonicity"),
+    ("potentials_valid", "potentials"),
+    ("boundary_shipping", "boundary-shipping"),
+    ("cost_optimal", "duality-gap"),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -103,21 +112,16 @@ def _cmd_certify(args) -> int:
         "p": args.p,
         "tol": args.tol,
         "cost": cost,
-        "concentrated_on_S": report.concentrated_on_S,
-        "cyclically_monotone": report.cyclically_monotone,
-        "potentials_valid": report.potentials_valid,
-        "boundary_shipping": report.boundary_shipping,
-        "cost_optimal": report.cost_optimal,
+        **{field: getattr(report, field) for field, _ in _CHECKS},
         "worst_violation": report.worst_violation,
         "all_passed": report.all_passed(),
     }
     lines = [
         f"cost {_fmt(cost)}",
-        f"concentrated-on-S      {'pass' if report.concentrated_on_S else 'FAIL'}",
-        f"cyclical-monotonicity  {'pass' if report.cyclically_monotone else 'FAIL'}",
-        f"potentials             {'pass' if report.potentials_valid else 'FAIL'}",
-        f"boundary-shipping      {'pass' if report.boundary_shipping else 'FAIL'}",
-        f"duality-gap            {'pass' if report.cost_optimal else 'FAIL'}",
+        *(
+            f"{label:<23s}{'pass' if getattr(report, field) else 'FAIL'}"
+            for field, label in _CHECKS
+        ),
         f"worst violation {report.worst_violation:.3e}",
         "certificate PASSED" if report.all_passed() else "certificate FAILED",
     ]

@@ -10,7 +10,7 @@ the non-branching property.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnsupportedPairError, check_exponent
 from .measures import DiscreteMeasure, _canonical_atoms, measures_close
@@ -18,8 +18,7 @@ from .pairs import _check_t
 from .solver import solve, solve_detail, wb_distance
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
+class GeodesicPath(NamedTuple):
     """An optimal plan together with its interpolation rule."""
 
     plan: object  # TransportPlan between mu0 and mu1
@@ -132,8 +131,7 @@ def angle_at_zero(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 _PROBE_TOL = 1e-8
 
 
-@dataclass
-class BranchProbeReport:
+class BranchProbeReport(NamedTuple):
     """Outcome of the non-branching probe at an interior time."""
 
     t0: float

@@ -15,9 +15,9 @@ so the two validate each other.  Being fast is a non-goal.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import OracleSizeError, PairMismatchError, check_exponent
 from .measures import DiscreteMeasure, PersistenceDiagram
@@ -30,8 +30,7 @@ MAX_ENUM_NODES = 1_000_000
 MAX_MASS_DENOMINATOR = 1 << 20
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Enumerated minimum cost (the p-th power value) and a witness routing.
 
     The witness is a tuple of (source, target, mass) moves achieving the

@@ -27,6 +27,7 @@ threads.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,11 @@ from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError
 Point = "tuple[float, ...] | int"
 
 _SQRT2 = math.sqrt(2.0)
+
+#: Bits of the widest cell the float path puts on one scale (a largest float's
+#: numerator shifted by a least subnormal's exponent).  Past it, a finite pair
+#: at integer p takes the float path rather than build ever wider exact powers.
+_MAX_CELL_BITS = sys.float_info.max_exp + sys.float_info.mant_dig - sys.float_info.min_exp
 
 
 class MetricPair:
@@ -414,21 +420,20 @@ class FinitePair(MetricPair):
         return min(self.subset, key=lambda a: (self.table[x][a], a))
 
     def cost_matrix(self, xs, ys, p) -> tuple:
-        """At integer p the exact powers (n / d)^p = n^p / d^p of the table entries."""
+        """At integer p, exact powers n^p / d^p of the entries up to ``_MAX_CELL_BITS`` bits."""
         if not float(p).is_integer():
             return super().cost_matrix(xs, ys, p)
         k = int(p)
         xs, ys = self._validated(xs, ys)
-
-        def power(d):
-            n, q = d.as_integer_ratio()
-            return n**k, q**k
-
         rows = [
-            [power(self._distance(x, y)) for y in ys] + [power(self._dist_to_A(x))] for x in xs
+            [self._distance(x, y).as_integer_ratio() for y in ys]
+            + [self._dist_to_A(x).as_integer_ratio()]
+            for x in xs
         ]
-        rows.append([power(self._dist_to_A(y)) for y in ys] + [(0, 1)])
-        return _on_one_scale(rows)
+        rows.append([self._dist_to_A(y).as_integer_ratio() for y in ys] + [(0, 1)])
+        if k * max(v.bit_length() for row in rows for cell in row for v in cell) > _MAX_CELL_BITS:
+            return super().cost_matrix(xs, ys, p)
+        return _on_one_scale([[(n**k, q**k) for n, q in row] for row in rows])
 
     def describe(self) -> dict:
         return {

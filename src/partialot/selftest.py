@@ -12,7 +12,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import certify
 from .geodesic import (
@@ -42,8 +42,7 @@ _HALF_PLANE = HalfPlanePair()
 _BOX = EuclideanBoxPair((0.0, 0.0), (4.0, 4.0))
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -18,7 +18,6 @@ boundary flows are re-expanded to per-point projections, and dual
 potentials that vanish on A after normalisation.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -66,8 +65,7 @@ def in_S(pair, x, y, p, tol: float = 1e-9) -> bool:
     return _concentration(cells, [(0, 0)]) <= tol
 
 
-@dataclass(frozen=True)
-class AugmentedProblem:
+class AugmentedProblem(NamedTuple):
     """The balanced transportation instance solved for Wb_p.
 
     ``cost_exact`` has (len(sources) + 1) rows and (len(sinks) + 1) columns
@@ -79,8 +77,7 @@ class AugmentedProblem:
     cost_exact: tuple  # of tuples of Fractions
 
 
-@dataclass(frozen=True)
-class DualPotentials:
+class DualPotentials(NamedTuple):
     """Kantorovich potentials on the atoms, normalised to vanish on A.
 
     Feasibility: phi[x] + psi[y] <= d(x, y)^p on all atom pairs and
@@ -160,12 +157,9 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     # Int true division rounds correctly, as float(Fraction) does.
     v_b = v[n]
     u_b = u[m]
-    try:
-        wb_p = total / (mass_scale * cost_scale)
-        phi = {mu.atoms[i][0]: (u[i] + v_b) / cost_scale for i in range(m)}
-        psi = {nu.atoms[j][0]: (v[j] + u_b) / cost_scale for j in range(n)}
-    except OverflowError as exc:
-        raise FloatRangeError(f"value out of the float range: {exc}") from exc
+    wb_p = _rounded(total, mass_scale * cost_scale)
+    phi = {mu.atoms[i][0]: _rounded(u[i] + v_b, cost_scale) for i in range(m)}
+    psi = {nu.atoms[j][0]: _rounded(v[j] + u_b, cost_scale) for j in range(n)}
     if total > 0 and wb_p == 0.0:
         raise FloatRangeError("value out of the float range: the optimum Wb_p^p > 0 underflows")
     wb = wb_p ** (1.0 / p)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -238,6 +239,26 @@ def test_cost_underflow_is_a_float_range_error():
     # Equal points and points on A cost exactly 0; nothing underflows there.
     assert wb_distance(mu, mu, 3) == 0.0
     assert cost_c(HP, (1.0, 1.0), (1.0, 1.0), 3) == 0.0
+
+
+def test_finite_pair_exact_powers_stop_at_the_widest_float_cell():
+    # 1.5 = 3 / 2: 3^k and 2^k are 2k bits wide, within the 2 098-bit bound up
+    # to k = 1 049; past it the cell is the float 1.5 ** k read exactly.
+    fin = FinitePair(((0, 1, 1), (1, 0, 1.5), (1, 1.5, 0)), frozenset({0}))
+    assert fin.cost_cell(1, 2, 1049) == Fraction(3, 2) ** 1049
+    assert fin.cost_cell(1, 2, 1050) == Fraction(1.5**1050)
+    assert fin.cost_cell(1, 2, 1050) != Fraction(3, 2) ** 1050
+
+
+def test_a_large_integer_p_on_a_finite_pair_fails_fast():
+    # Exact powers at p = 1e6 would be million-bit ints, taking seconds to
+    # fail; the float path overflows on 1.5 ** p at once.
+    fin = FinitePair(((0, 1, 2), (1, 0, 1.5), (2, 1.5, 0)), frozenset({0}))
+    mu, nu = new_measure(fin, [(1, 1.0)]), new_measure(fin, [(2, 1.0)])
+    start = time.perf_counter()
+    with pytest.raises(FloatRangeError, match="value out of the float range"):
+        wb_distance(mu, nu, 1e6)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_optimum_underflow_is_a_float_range_error():
