@@ -54,14 +54,17 @@ class CertificateReport(NamedTuple):
     cost_optimal: bool  # plan cost within tol of an exact weak-duality lower bound
     worst_violation: float
 
+    #: The checks a certificate is made of: each field and its label in text output.
+    CHECKS = (
+        ("concentrated_on_S", "concentrated-on-S"),
+        ("cyclically_monotone", "cyclical-monotonicity"),
+        ("potentials_valid", "potentials"),
+        ("boundary_shipping", "boundary-shipping"),
+        ("cost_optimal", "duality-gap"),
+    )
+
     def all_passed(self) -> bool:
-        return (
-            self.concentrated_on_S
-            and self.cyclically_monotone
-            and self.potentials_valid
-            and self.boundary_shipping
-            and self.cost_optimal
-        )
+        return all(getattr(self, field) for field, _ in self.CHECKS)
 
 
 def _validated(pair, entries) -> list:

@@ -33,15 +33,6 @@ _MISMATCH_ERRORS = (
     OracleSizeError,
 )
 
-#: The five checks of ``certify``: each CertificateReport field and its text label.
-_CHECKS = (
-    ("concentrated_on_S", "concentrated-on-S"),
-    ("cyclically_monotone", "cyclical-monotonicity"),
-    ("potentials_valid", "potentials"),
-    ("boundary_shipping", "boundary-shipping"),
-    ("cost_optimal", "duality-gap"),
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -112,7 +103,7 @@ def _cmd_certify(args) -> int:
         "p": args.p,
         "tol": args.tol,
         "cost": cost,
-        **{field: getattr(report, field) for field, _ in _CHECKS},
+        **{field: getattr(report, field) for field, _ in report.CHECKS},
         "worst_violation": report.worst_violation,
         "all_passed": report.all_passed(),
     }
@@ -120,7 +111,7 @@ def _cmd_certify(args) -> int:
         f"cost {_fmt(cost)}",
         *(
             f"{label:<23s}{'pass' if getattr(report, field) else 'FAIL'}"
-            for field, label in _CHECKS
+            for field, label in report.CHECKS
         ),
         f"worst violation {report.worst_violation:.3e}",
         "certificate PASSED" if report.all_passed() else "certificate FAILED",

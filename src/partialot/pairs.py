@@ -37,10 +37,11 @@ Point = "tuple[float, ...] | int"
 
 _SQRT2 = math.sqrt(2.0)
 
-#: Bits of the widest cell the float path puts on one scale (a largest float's
-#: numerator shifted by a least subnormal's exponent).  Past it, a finite pair
-#: at integer p takes the float path rather than build ever wider exact powers.
-_MAX_CELL_BITS = sys.float_info.max_exp + sys.float_info.mant_dig - sys.float_info.min_exp
+#: Bits of the widest exact cube of a float (a least subnormal's denominator
+#: 2^1074 is 1 075 bits), so every finite-pair cell at p <= 3 stays exact.
+#: Past it, a finite pair at integer p takes the float path rather than build
+#: ever wider exact powers.
+_MAX_CELL_BITS = 3 * (sys.float_info.mant_dig - sys.float_info.min_exp + 1)
 
 
 class MetricPair:

@@ -241,13 +241,33 @@ def test_cost_underflow_is_a_float_range_error():
     assert cost_c(HP, (1.0, 1.0), (1.0, 1.0), 3) == 0.0
 
 
-def test_finite_pair_exact_powers_stop_at_the_widest_float_cell():
-    # 1.5 = 3 / 2: 3^k and 2^k are 2k bits wide, within the 2 098-bit bound up
-    # to k = 1 049; past it the cell is the float 1.5 ** k read exactly.
-    fin = FinitePair(((0, 1, 1), (1, 0, 1.5), (1, 1.5, 0)), frozenset({0}))
-    assert fin.cost_cell(1, 2, 1049) == Fraction(3, 2) ** 1049
-    assert fin.cost_cell(1, 2, 1050) == Fraction(1.5**1050)
-    assert fin.cost_cell(1, 2, 1050) != Fraction(3, 2) ** 1050
+@pytest.mark.parametrize(
+    "d, last_exact",
+    [
+        (1.5, 1612),  # 3 / 2: 2 bits a side, 2 * 1 612 <= 3 225 < 2 * 1 613
+        (0.1, 57),  # a full mantissa over 2^55: 56 * 57 <= 3 225 < 56 * 58
+    ],
+)
+def test_finite_pair_exact_powers_stop_at_the_widest_float_cube(d, last_exact):
+    # Exact powers while p times the widest numerator or denominator fits in
+    # 3 * 1 075 bits; past it the cell is the float d ** p read exactly.
+    fin = FinitePair(((0, 1, 1), (1, 0, d), (1, d, 0)), frozenset({0}))
+    assert fin.cost_cell(1, 2, last_exact) == Fraction(d) ** last_exact
+    assert fin.cost_cell(1, 2, last_exact + 1) == Fraction(d ** (last_exact + 1))
+    assert fin.cost_cell(1, 2, last_exact + 1) != Fraction(d) ** (last_exact + 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_finite_pair_cells_stay_exact_up_to_p_3(p):
+    # (1e-300)^p is far below the float range, yet the exact cell is kept and
+    # the used tiny cell is absorbed into a total of 1.
+    table = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
+    table[1][2] = table[2][1] = 1e-300
+    fin = FinitePair(tuple(map(tuple, table)), frozenset({0}))
+    assert fin.cost_cell(1, 2, p) == Fraction(1e-300) ** p
+    mu = new_measure(fin, [(1, 1.0), (3, 1.0)])
+    nu = new_measure(fin, [(2, 1.0), (4, 1.0)])
+    assert wb_distance(mu, nu, p) == 1.0
 
 
 def test_a_large_integer_p_on_a_finite_pair_fails_fast():
