@@ -61,14 +61,7 @@ from .solver import (
     solve_detail,
     wb_distance,
 )
-from .certify import (
-    CertificateReport,
-    certify_optimal,
-    check_boundary_shipping,
-    check_concentrated_on_S,
-    check_cyclical_monotonicity,
-    check_potentials,
-)
+from .certify import CertificateReport, certify_optimal
 from .geodesic import (
     BranchProbeReport,
     GeodesicPath,

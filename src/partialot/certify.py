@@ -25,8 +25,9 @@ rounded up to a float.  Each violation is relative to the cost it is
 measured against: an entry's excess over its detour through A, a cell's
 over its cost, a cycle's improvement over the cycle's cost, a shipping
 distance's over d(x, A) and the gap over the plan's cost.  So scaling X
-changes no verdict.  A check passes when its value is at most ``tol``;
-cyclical monotonicity, being exact, passes only at 0.
+changes no verdict.  :func:`certify_optimal` gives the verdict: a check
+passes when its value is at most ``tol``; cyclical monotonicity, being
+exact, passes only at 0.  Each ``*_violation`` function gives one check's value.
 """
 
 import math
@@ -127,12 +128,6 @@ def _concentration(cells, support) -> float:
     return worst
 
 
-def check_concentrated_on_S(plan: TransportPlan, p, tol: float = 1e-8) -> bool:
-    """True iff every interior entry lies in S within tol; boundary entries pass."""
-    tol = check_tol(tol, "certificate tolerance")
-    return concentration_violation(plan, p) <= tol
-
-
 def _cycle(pred) -> list:
     """The nodes of a cycle among the predecessor labels, each followed by its label, or []."""
     done = set()
@@ -228,11 +223,6 @@ def _monotonicity(cells, support) -> float:
     return _rounded_up(base - sum(cells[i][j] for i, j in given), base)
 
 
-def check_cyclical_monotonicity(plan: TransportPlan, p) -> bool:
-    """True iff no reassignment of support pairs, with A x A, lowers the cost."""
-    return cyclical_monotonicity_violation(plan, p) == 0.0
-
-
 def _dyadic(values, bits: int = 0) -> tuple:
     """Finite floats as ints over one power of two: (ints, k), value = int / 2^k, k >= bits."""
     ratios = [float(v).as_integer_ratio() for v in values]
@@ -314,12 +304,6 @@ def _potentials(box, support) -> float:
     return worst
 
 
-def check_potentials(plan: TransportPlan, duals, p, tol: float = 1e-9) -> bool:
-    """True iff the potentials are feasible and complementarily slack within tol."""
-    tol = check_tol(tol, "certificate tolerance")
-    return potentials_violation(plan, duals, p) <= tol
-
-
 def boundary_shipping_violation(plan: TransportPlan) -> float:
     """Worst |d(x, y) - d(x, A)| / d(x, A) over boundary entries, x their point of Omega."""
     _, outgoing, incoming = decompose(plan)
@@ -336,12 +320,6 @@ def _shipping(pair, outgoing: TransportPlan, incoming: TransportPlan) -> float:
         d = pair._dist_to_A(y)
         worst = max(worst, abs(pair._distance(a, y) - d) / d)
     return worst
-
-
-def check_boundary_shipping(plan: TransportPlan, tol: float = 1e-9) -> bool:
-    """True iff all boundary entries ship to/from nearest boundary points."""
-    tol = check_tol(tol, "certificate tolerance")
-    return boundary_shipping_violation(plan) <= tol
 
 
 def duality_gap_violation(plan: TransportPlan, duals, p) -> float:

@@ -1,6 +1,7 @@
 """Error types shared across the package."""
 
 import math
+from fractions import Fraction
 
 
 class PartialOTError(ValueError):
@@ -51,21 +52,31 @@ class FloatRangeError(PartialOTError, OverflowError):
     """A cost, the optimum or a potential lies beyond the float range."""
 
 
+def is_number(value) -> bool:
+    """True for int, float and Fraction values; bools and strings are not numbers."""
+    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+
+
+def as_number(value) -> float:
+    """``value`` as a float, or TypeError unless :func:`is_number` holds."""
+    if not is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def check_exponent(p) -> float:
-    """Validate the transport exponent: a finite real with p >= 1."""
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
+    """Validate the transport exponent: a finite real number with p >= 1."""
+    if not (is_number(p) and 1.0 <= float(p) < math.inf):
         raise PartialOTError(f"exponent p must be a finite real >= 1, got {p!r}")
-    return p
+    return float(p)
 
 
 def check_tol(tol, what: str) -> float:
-    """``tol`` as a float, or ValueError unless it is finite and >= 0.
+    """``tol`` as a float, or ValueError unless it is a finite number >= 0.
 
     A tolerance decides a comparison: NaN would fail every one and an
     infinite tolerance pass every one.  ``what`` names it in the message.
     """
-    tol = float(tol)
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"{what} must be finite and >= 0, got {tol}")
-    return tol
+    if not (is_number(tol) and 0.0 <= float(tol) < math.inf):
+        raise ValueError(f"{what} must be finite and >= 0, got {tol!r}")
+    return float(tol)

@@ -12,7 +12,7 @@ the non-branching property.
 import math
 from typing import NamedTuple
 
-from .errors import UnsupportedPairError, check_exponent
+from .errors import UnsupportedPairError, check_exponent, is_number
 from .measures import DiscreteMeasure, _canonical_atoms, measures_close
 from .pairs import _check_t
 from .solver import solve, solve_detail, wb_distance
@@ -29,15 +29,21 @@ class GeodesicPath(NamedTuple):
     mu1: DiscreteMeasure
 
 
+def _geodesic_pair(mu: DiscreteMeasure):
+    """The pair of mu, or UnsupportedPairError unless it is geodesic."""
+    if not mu.pair.geodesic_capable:
+        raise UnsupportedPairError(
+            f"pair kind {mu.pair.kind!r} is not geodesic; cannot interpolate"
+        )
+    return mu.pair
+
+
 def geodesic_path(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p) -> GeodesicPath:
     """Solve for an optimal plan and wrap it as a displacement geodesic."""
     p = check_exponent(p)
-    if not mu0.pair.geodesic_capable:
-        raise UnsupportedPairError(
-            f"pair kind {mu0.pair.kind!r} is not geodesic; cannot interpolate"
-        )
+    pair = _geodesic_pair(mu0)
     wb, plan, _ = solve(mu0, mu1, p)
-    return GeodesicPath(plan, mu0.pair, p, wb, mu0, mu1)
+    return GeodesicPath(plan, pair, p, wb, mu0, mu1)
 
 
 def interpolate_detail(path: GeodesicPath, t):
@@ -72,7 +78,7 @@ def check_constant_speed(path: GeodesicPath, t_grid) -> float:
 
     Every pairwise distance is recomputed with a fresh solve.
     """
-    grid = sorted(set(float(t) for t in t_grid))
+    grid = sorted(set(map(_check_t, t_grid)))
     interpolants = {t: interpolate(path, t) for t in grid}
     worst = 0.0
     for i, s in enumerate(grid):
@@ -101,7 +107,7 @@ def curvature_margins(mu_p: DiscreteMeasure, mu_q: DiscreteMeasure, mu_r: Discre
     d_qr = wb_distance(mu_q, mu_r, 2) ** 2
     margins = []
     for t in t_grid:
-        t = float(t)
+        t = _check_t(t)
         d_pt = wb_distance(mu_p, interpolate(path, t), 2) ** 2
         comparison = (1.0 - t) * d_pq + t * d_pr - (1.0 - t) * t * d_qr
         margins.append(d_pt - comparison)
@@ -162,15 +168,11 @@ def branch_probe(mu0: DiscreteMeasure, mu1: DiscreteMeasure, t0, p) -> BranchPro
     p = check_exponent(p)
     if p <= 1.0:
         raise ValueError("the non-branching probe requires p > 1")
+    if not (is_number(t0) and 0.0 < float(t0) < 1.0):
+        raise ValueError(f"probe time must lie strictly inside (0, 1), got {t0!r}")
     t0 = float(t0)
-    if not 0.0 < t0 < 1.0:
-        raise ValueError(f"probe time must lie strictly inside (0, 1), got {t0}")
 
-    pair = mu0.pair
-    if not pair.geodesic_capable:
-        raise UnsupportedPairError(
-            f"pair kind {pair.kind!r} is not geodesic; cannot interpolate"
-        )
+    pair = _geodesic_pair(mu0)
     first = solve_detail(mu0, mu1, p)
     path = GeodesicPath(first.plan, pair, p, first.wb, mu0, mu1)
     mu_t, dropped = interpolate_detail(path, t0)

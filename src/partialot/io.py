@@ -17,9 +17,9 @@ import json
 import math
 import os
 
-from .errors import MalformedFileError, PartialOTError
+from .errors import MalformedFileError, PartialOTError, as_number
 from .measures import DiscreteMeasure, PersistenceDiagram, new_diagram, new_measure
-from .pairs import as_number, pair_from_description
+from .pairs import pair_from_description
 from .plans import TransportPlan, new_plan
 from .solver import DualPotentials
 

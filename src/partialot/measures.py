@@ -10,8 +10,8 @@ diagram-distance machinery.
 import math
 from dataclasses import dataclass
 
-from .errors import AtomOnBoundaryError, NonPositiveMassError, check_exponent
-from .pairs import HalfPlanePair, MetricPair, as_number
+from .errors import AtomOnBoundaryError, NonPositiveMassError, as_number, check_exponent, is_number
+from .pairs import HalfPlanePair, MetricPair
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def truncate(mu: DiscreteMeasure, r) -> DiscreteMeasure:
 
     Idempotent for fixed r; the result is atomwise dominated by mu.
     """
+    if not (is_number(r) and float(r) > 0.0):
+        raise ValueError(f"truncation radius must be positive, got {r!r}")
     r = float(r)
-    if not r > 0.0:
-        raise ValueError(f"truncation radius must be positive, got {r}")
     kept = tuple((pt, m) for pt, m in mu.atoms if mu.pair._dist_to_A(pt) > r)
     return DiscreteMeasure(mu.pair, kept)
 

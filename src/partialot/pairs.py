@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError
+from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError, as_number, is_number
 
 Point = "tuple[float, ...] | int"
 
@@ -170,18 +170,6 @@ def _on_one_grid(groups) -> tuple:
     return grid, bits - 1
 
 
-def is_number(value) -> bool:
-    """True for int, float and Fraction values; bools and strings are not numbers."""
-    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
-
-
-def as_number(value) -> float:
-    """``value`` as a float, or TypeError unless :func:`is_number` holds."""
-    if not is_number(value):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _as_coords(x, dim: int, pair: MetricPair) -> tuple:
     if is_number(x):
         raise InvalidPointError(
@@ -200,11 +188,10 @@ def _as_coords(x, dim: int, pair: MetricPair) -> tuple:
     return coords
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t}")
-    return t
+def _check_t(t) -> float:
+    if not (is_number(t) and 0.0 <= float(t) <= 1.0):
+        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
+    return float(t)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ from .errors import (
     MarginalMismatchError,
     NonPositiveMassError,
     PairMismatchError,
+    as_number,
     check_exponent,
 )
 from .measures import DiscreteMeasure, _canonical_atoms, measures_close
-from .pairs import MetricPair, as_number
+from .pairs import MetricPair
 
 
 @dataclass(frozen=True)

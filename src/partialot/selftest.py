@@ -15,6 +15,7 @@ import time
 from typing import NamedTuple
 
 from . import certify
+from .errors import InadmissiblePlanError
 from .geodesic import (
     angle_at_zero,
     check_constant_speed,
@@ -215,20 +216,24 @@ def _perturb_swap(rng, plan):
 @_criterion(5, "optimality-certificates")
 def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200):
     """Optimality certificates hold for every solver plan from criteria 1-3,
-    and mass-preserving single-edge perturbations are rejected."""
+    and mass-preserving single-edge perturbations are rejected.
+
+    Each solver plan is certified as ``partialot certify`` does, by
+    :func:`certify.certify_optimal`, at ``tol = 1e-9``."""
     worst = 0.0
     failed = []
 
     def certify_one(mu, nu, p, tag):
         nonlocal worst
         wb, plan, duals = solve(mu, nu, p)
-        conc = certify.concentration_violation(plan, p)
-        mono = certify.cyclical_monotonicity_violation(plan, p)
-        pots = certify.potentials_violation(plan, duals, p)
-        ship = certify.boundary_shipping_violation(plan)
-        worst = max(worst, conc, mono, pots, ship)
-        if conc > 1e-8 or mono > 1e-8 or pots > 1e-9 or ship > 1e-9:
+        try:
+            report = certify.certify_optimal(mu, nu, plan, duals, p, tol=1e-9)
+        except InadmissiblePlanError:
             failed.append(tag)
+        else:
+            worst = max(worst, report.worst_violation)
+            if not report.all_passed():
+                failed.append(tag)
         return plan, duals
 
     plans = []

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 import partialot.solver
+from partialot import selftest
 from partialot import (
     DualPotentials,
     EuclideanBoxPair,
@@ -16,10 +17,6 @@ from partialot import (
     InadmissiblePlanError,
     MissingPotentialError,
     certify_optimal,
-    check_boundary_shipping,
-    check_concentrated_on_S,
-    check_cyclical_monotonicity,
-    check_potentials,
     new_measure,
     new_plan,
     solve,
@@ -27,6 +24,7 @@ from partialot import (
 )
 from partialot.certify import (
     boundary_shipping_violation,
+    concentration_violation,
     cyclical_monotonicity_violation,
     duality_gap_violation,
     potentials_violation,
@@ -51,17 +49,17 @@ def test_concentrated_on_S_examples():
     mu = new_measure(HP, [((0, 1), 1.0)])
     nu = new_measure(HP, [((0, 3), 1.0)])
     r = solve(mu, nu, 2)
-    assert check_concentrated_on_S(r.plan, 2)
+    assert concentration_violation(r.plan, 2) <= 1e-8
 
     bad = new_plan(HP, [((0, 1), (0, 5), 1.0)], 2)
-    assert not check_concentrated_on_S(bad, 2)
+    assert concentration_violation(bad, 2) > 1e-8
 
-    assert check_concentrated_on_S(new_plan(HP, [], 2), 2)
+    assert concentration_violation(new_plan(HP, [], 2), 2) <= 1e-8
 
 
 def test_boundary_entries_pass_S_vacuously():
     shipping = new_plan(HP, [((0, 5), (2.5, 2.5), 1.0)], 2)
-    assert check_concentrated_on_S(shipping, 2)
+    assert concentration_violation(shipping, 2) <= 1e-8
 
 
 def test_cyclical_monotonicity_solver_output():
@@ -74,7 +72,7 @@ def test_cyclical_monotonicity_solver_output():
             HP, [((rng.uniform(-2, 2), rng.uniform(3, 5)), 1.0) for _ in range(3)]
         )
         r = solve(mu, nu, 2)
-        assert check_cyclical_monotonicity(r.plan, 2)
+        assert cyclical_monotonicity_violation(r.plan, 2) == 0.0
 
 
 def test_cyclical_monotonicity_detects_swap():
@@ -82,11 +80,10 @@ def test_cyclical_monotonicity_detects_swap():
     mu = new_measure(HP, [((0, 1), 1.0), ((0, 2), 1.0)])
     nu = new_measure(HP, [((0, 1.5), 1.0), ((0, 2.5), 1.0)])
     r = solve(mu, nu, 2)
-    assert check_cyclical_monotonicity(r.plan, 2)
+    assert cyclical_monotonicity_violation(r.plan, 2) == 0.0
     swapped = new_plan(
         HP, [((0, 1), (0, 2.5), 1.0), ((0, 2), (0, 1.5), 1.0)], 2
     )
-    assert not check_cyclical_monotonicity(swapped, 2)
     assert cyclical_monotonicity_violation(swapped, 2) > 1e-3
 
 
@@ -98,33 +95,32 @@ def test_cyclical_monotonicity_violation_is_scale_free(lam):
         HP, [((0, lam), (0, 2.5 * lam), 1.0), ((0, 2 * lam), (0, 1.5 * lam), 1.0)], 2
     )
     assert cyclical_monotonicity_violation(swapped, 2) == 0.8
-    assert not check_cyclical_monotonicity(swapped, 2)
 
 
 def test_cyclical_monotonicity_single_entry_vs_virtual():
     # in S: the two-cycle against the virtual boundary pair cannot improve
     good = new_plan(HP, [((0, 1), (0, 3), 1.0)], 2)
-    assert check_cyclical_monotonicity(good, 2)
+    assert cyclical_monotonicity_violation(good, 2) == 0.0
     # off S: rerouting via the boundary beats the direct edge
     bad = new_plan(HP, [((0, 1), (0, 5), 1.0)], 2)
-    assert not check_cyclical_monotonicity(bad, 2)
+    assert cyclical_monotonicity_violation(bad, 2) > 0.0
 
 
 def test_potentials_examples():
     mu = new_measure(HP, [((0, 1), 1.0), ((2, 6), 2.0)])
     nu = new_measure(HP, [((0, 3), 1.5)])
     r = solve(mu, nu, 2)
-    assert check_potentials(r.plan, r.duals, 2)
+    assert potentials_violation(r.plan, r.duals, 2) <= 1e-9
 
     # all-zero potentials break slackness whenever the plan has positive cost
     zeros = DualPotentials(
         {pt: 0.0 for pt, _ in mu.atoms}, {pt: 0.0 for pt, _ in nu.atoms}
     )
-    assert not check_potentials(r.plan, zeros, 2)
+    assert potentials_violation(r.plan, zeros, 2) > 1e-9
 
     z = zero_measure(HP)
     rz = solve(z, z, 2)
-    assert check_potentials(rz.plan, rz.duals, 2)
+    assert potentials_violation(rz.plan, rz.duals, 2) <= 1e-9
 
 
 # The half-plane instance of test_solver's ``_WIDE``: coordinates from 5e-324
@@ -171,7 +167,7 @@ def test_potentials_missing_atom():
     nu = new_measure(HP, [((0, 3), 1.0)])
     r = solve(mu, nu, 2)
     with pytest.raises(MissingPotentialError):
-        check_potentials(r.plan, DualPotentials({}, {}), 2)
+        potentials_violation(r.plan, DualPotentials({}, {}), 2)
 
 
 def test_duality_gap_missing_atom():
@@ -185,11 +181,11 @@ def test_duality_gap_missing_atom():
 
 def test_boundary_shipping_examples():
     good = new_plan(HP, [((0, 5), (2.5, 2.5), 1.0)], 2)
-    assert check_boundary_shipping(good)
+    assert boundary_shipping_violation(good) <= 1e-9
     # (0,0) is on A but is not the nearest boundary point to (0,5)
     bad = new_plan(HP, [((0, 5), (0, 0), 1.0)], 2)
-    assert not check_boundary_shipping(bad)
-    assert check_boundary_shipping(new_plan(HP, [((0, 1), (0, 2), 1.0)], 2))
+    assert boundary_shipping_violation(bad) > 1e-9
+    assert boundary_shipping_violation(new_plan(HP, [((0, 1), (0, 2), 1.0)], 2)) <= 1e-9
 
 
 def test_boundary_shipping_is_relative_to_the_distance_to_A():
@@ -229,22 +225,15 @@ def test_certify_optimal_rejects_canonical_suboptimal_plan():
     assert not report.cyclically_monotone
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, "1e-8", True])
 def test_certificate_tolerance_must_be_finite_and_non_negative(tol):
     mu = new_measure(HP, [((0, 1), 1.0)])
     nu = new_measure(HP, [((0, 3), 1.0)])
     r = solve(mu, nu, 2)
     # A suboptimal plan: an infinite tolerance would pass it, NaN fail anything.
     canonical = new_plan(HP, [((0, 1), (0.5, 0.5), 1.0), ((1.5, 1.5), (0, 3), 1.0)], 2)
-    checks = [
-        lambda: certify_optimal(mu, nu, canonical, r.duals, 2, tol=tol),
-        lambda: check_concentrated_on_S(r.plan, 2, tol=tol),
-        lambda: check_potentials(r.plan, r.duals, 2, tol=tol),
-        lambda: check_boundary_shipping(canonical, tol=tol),
-    ]
-    for check in checks:
-        with pytest.raises(ValueError, match="tolerance"):
-            check()
+    with pytest.raises(ValueError, match="tolerance"):
+        certify_optimal(mu, nu, canonical, r.duals, 2, tol=tol)
     assert certify_optimal(mu, nu, r.plan, r.duals, 2, tol=0.0).all_passed()
     assert not certify_optimal(mu, nu, canonical, r.duals, 2, tol=1e300).all_passed()
 
@@ -414,7 +403,6 @@ def test_cyclical_monotonicity_finds_a_five_cycle(p):
 
     ring = new_plan(HP, [(at(72 * k), at(72 * k + 40), 1.0) for k in range(5)], p)
     got = cyclical_monotonicity_violation(ring, p)
-    assert not check_cyclical_monotonicity(ring, p)
     assert 0 < got <= math.nextafter(float(_reference_improvement(ring, p)), math.inf)
 
 
@@ -508,6 +496,59 @@ def test_potentials_non_finite_potential():
     for bad in (math.nan, math.inf, -math.inf):
         duals = DualPotentials({**r.duals.phi, first: bad}, r.duals.psi)
         assert potentials_violation(r.plan, duals, 2) == math.inf
-        assert not check_potentials(r.plan, duals, 2)
         duals = DualPotentials(r.duals.phi, {y: bad for y in r.duals.psi})
         assert potentials_violation(r.plan, duals, 2) == math.inf
+
+
+@pytest.mark.parametrize("pair", [HP, BOX], ids=["half_plane", "box"])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_certify_optimal_agrees_with_each_violation(pair, p):
+    # Solver plans and their swap perturbations, certified against each plan's
+    # own marginals: the verdict is the five values read against tol.
+    rng = random.Random(f"verdict/{pair.kind}/{p}")
+    cases = []
+    for _ in range(12):
+        mu, nu = (selftest._random_measure(rng, pair, 5) for _ in range(2))
+        r = solve(mu, nu, p)
+        cases.append((r.plan, r.duals))
+        perturbed = selftest._perturb_swap(rng, r.plan)
+        if perturbed is not None:
+            cases.append((perturbed, r.duals))
+    verdicts = set()
+    for plan, duals in cases:
+        values = {
+            "concentrated_on_S": concentration_violation(plan, p),
+            "cyclically_monotone": cyclical_monotonicity_violation(plan, p),
+            "potentials_valid": potentials_violation(plan, duals, p),
+            "boundary_shipping": boundary_shipping_violation(plan),
+            "cost_optimal": duality_gap_violation(plan, duals, p),
+        }
+        for tol in (0.0, 1e-9, 1e-8):
+            report = certify_optimal(*marginals(plan), plan, duals, p, tol=tol)
+            assert report.worst_violation == max(values.values())
+            for field, value in values.items():
+                want = value == 0.0 if field == "cyclically_monotone" else value <= tol
+                assert getattr(report, field) == want, (field, value, tol)
+            verdicts.add(report.all_passed())
+    assert verdicts == {False, True}
+
+
+def test_criterion_5_certifies_as_partialot_certify_does(monkeypatch):
+    # A solver plan with its mass doubled is optimal for its own marginals, so
+    # each check's value passes it; but its marginals are not the instance's,
+    # so certify_optimal refuses it, and criterion 5 must count it failed.
+    real, doubled = selftest.solve, []
+
+    def solve_doubling_one(mu, nu, p):
+        result = real(mu, nu, p)
+        if len(result.plan.entries) == 1 and not doubled:
+            doubled.append(result)
+            heavy = [(x, y, 2 * m) for x, y, m in result.plan.entries]
+            return result._replace(plan=new_plan(result.plan.pair, heavy, p))
+        return result
+
+    monkeypatch.setattr(selftest, "solve", solve_doubling_one)
+    got = selftest.criterion_certificates(count1=20, count2=4, count3=4)
+    assert doubled
+    assert not got.passed
+    assert "1 cert failures" in got.detail

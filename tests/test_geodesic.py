@@ -61,8 +61,9 @@ def test_interpolate_examples():
     measure, dropped = interpolate_detail(to_zero, 1.0)
     assert measure.is_zero and dropped == 1.0
 
-    with pytest.raises(ValueError):
-        interpolate(path, 1.5)
+    for t in (1.5, "0.5", True):
+        with pytest.raises(ValueError, match="interpolation parameter"):
+            interpolate(path, t)
 
 
 def test_constant_speed_examples():
@@ -76,6 +77,11 @@ def test_constant_speed_examples():
 
     zero_path = geodesic_path(mu, mu, 2)
     assert check_constant_speed(zero_path, [0.0, 0.3, 1.0]) == 0.0
+    for t in (1.5, "0.5", True):
+        with pytest.raises(ValueError, match="interpolation parameter"):
+            check_constant_speed(path, [0.0, t])
+        with pytest.raises(ValueError, match="interpolation parameter"):
+            curvature_comparison(mu, mu, nu, [0.0, t])
 
 
 def test_constant_speed_random():
@@ -222,8 +228,9 @@ def test_branch_probe_rejects_bad_arguments():
     mu = new_measure(HP, [((0, 1), 1.0)])
     with pytest.raises(ValueError):
         branch_probe(mu, mu, 0.5, 1)  # needs p > 1
-    with pytest.raises(ValueError):
-        branch_probe(mu, mu, 0.0, 2)
+    for t0 in (0.0, "0.5"):
+        with pytest.raises(ValueError, match="probe time"):
+            branch_probe(mu, mu, t0, 2)
 
 
 def test_interpolants_restricted_to_omega():

@@ -59,8 +59,9 @@ def test_truncate_examples():
     assert truncate(mu, 0.01) == mu
     assert truncate(mu, 10.0).is_zero
     assert truncate(truncate(mu, 0.2), 0.2) == truncate(mu, 0.2)
-    with pytest.raises(ValueError):
-        truncate(mu, 0.0)
+    for r in (0.0, "0.1", True):
+        with pytest.raises(ValueError, match="truncation radius"):
+            truncate(mu, r)
 
 
 def test_truncate_drops_exactly_at_radius():

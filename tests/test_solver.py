@@ -75,7 +75,7 @@ def test_in_S_is_scale_free():
     assert not in_S(HP, (1, 1), (2, 2), 2)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, "0.5", True])
 def test_in_S_tolerance_must_be_finite_and_non_negative(tol):
     # NaN would leave every pair out of S, an infinite tolerance put every pair in.
     with pytest.raises(ValueError, match="tolerance"):
@@ -410,6 +410,9 @@ def test_pair_mismatch_and_bad_p():
         solve(mu, mu, 0.5)
     with pytest.raises(ValueError):
         solve(mu, mu, math.inf)
+    for p in ("2", True, b"2"):  # never coerced to a number
+        with pytest.raises(PartialOTError, match="exponent"):
+            solve(mu, mu, p)
 
 
 def test_diagram_distance_examples():
