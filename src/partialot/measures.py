@@ -10,7 +10,10 @@ diagram-distance machinery.
 import math
 from dataclasses import dataclass
 
-from .errors import AtomOnBoundaryError, NonPositiveMassError, as_number, check_exponent, is_number
+from .errors import (
+    AtomOnBoundaryError, FloatRangeError, NonPositiveMassError,
+    as_number, check_exponent, check_tol, is_number,
+)
 from .pairs import HalfPlanePair, MetricPair
 
 
@@ -42,11 +45,37 @@ class DiscreteMeasure:
         return f"DiscreteMeasure({self.pair.kind}, {len(self.atoms)} atoms, mass {self.total_mass:g})"
 
 
+def _positive_mass(mass, what: str, *where) -> float:
+    """``mass`` if positive and finite, else NonPositiveMassError on what.format(*where)."""
+    mass = as_number(mass)
+    if 0.0 < mass < math.inf:
+        return mass
+    what = what.format(*where)
+    if mass == math.inf:
+        raise NonPositiveMassError(f"{what} has infinite mass")
+    raise NonPositiveMassError(f"{what} has non-positive mass {mass}")
+
+
 def _canonical_atoms(raw) -> tuple:
+    """``(key, mass)`` pairs merged by key and sorted; NonPositiveMassError if a sum is inf."""
     merged = {}
-    for pt, m in raw:
-        merged[pt] = merged.get(pt, 0.0) + m
+    for key, m in raw:
+        merged[key] = merged.get(key, 0.0) + m
+    if math.inf in merged.values():
+        key = min(k for k, m in merged.items() if m == math.inf)
+        raise NonPositiveMassError(f"the masses at {key!r} sum to an infinite mass")
     return tuple(sorted(merged.items()))
+
+
+def _finite_sum(terms) -> float:
+    """The sum of non-negative float terms, or FloatRangeError beyond the float range."""
+    try:
+        total = sum(terms)
+    except OverflowError as exc:
+        raise FloatRangeError(f"value out of the float range: {exc}") from exc
+    if total == math.inf:
+        raise FloatRangeError("value out of the float range: the sum is inf")
+    return total
 
 
 def new_measure(pair, atoms) -> DiscreteMeasure:
@@ -54,17 +83,13 @@ def new_measure(pair, atoms) -> DiscreteMeasure:
 
     Duplicate points are allowed and merged (multiset semantics).  Each
     point is validated once.  Atoms with a non-positive or infinite mass, or
-    on A (at distance exactly 0 from it, ``pair.in_A``), are rejected.
-    An empty atom list yields the zero measure.
+    on A (at distance exactly 0 from it, ``pair.in_A``), are rejected, and so
+    are merged masses that overflow.  An empty atom list yields the zero measure.
     """
     checked = []
     for pt, mass in atoms:
         pt = pair.validate_point(pt)
-        mass = as_number(mass)
-        if not mass > 0.0:
-            raise NonPositiveMassError(f"atom at {pt!r} has non-positive mass {mass}")
-        if mass == math.inf:
-            raise NonPositiveMassError(f"atom at {pt!r} has infinite mass")
+        mass = _positive_mass(mass, "atom at {!r}", pt)
         if pair._in_A(pt):
             raise AtomOnBoundaryError(f"atom at {pt!r} lies on the boundary set A")
         checked.append((pt, mass))
@@ -78,10 +103,10 @@ def zero_measure(pair) -> DiscreteMeasure:
 def p_energy(mu: DiscreteMeasure, p) -> float:
     """The p-th power moment of the distance to A: sum of mass * d(x, A)^p.
 
-    Its p-th root is the distance from mu to the zero measure.
+    Its p-th root is the distance from mu to the zero measure.  FloatRangeError past floats.
     """
     p = check_exponent(p)
-    return sum(m * mu.pair._dist_to_A(pt) ** p for pt, m in mu.atoms)
+    return _finite_sum(m * mu.pair._dist_to_A(pt) ** p for pt, m in mu.atoms)
 
 
 def truncate(mu: DiscreteMeasure, r) -> DiscreteMeasure:
@@ -134,8 +159,10 @@ def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, mass_tol: float) -> b
 
     Atoms are paired in canonical order, which pairs equal points.  Paired
     masses may differ by ``mass_tol`` times the larger one, a purely
-    relative rule that gives every mass scale the same answer.
+    relative rule that gives every mass scale the same answer.  A negative
+    or non-finite ``mass_tol`` raises ValueError.
     """
+    mass_tol = check_tol(mass_tol, "mass tolerance")
     if len(a.atoms) != len(b.atoms):
         return False
     for (pa, ma), (pb, mb) in zip(a.atoms, b.atoms):

@@ -6,17 +6,12 @@ marginal computations, the three-way decomposition by endpoint location,
 and the discrete gluing/composition used in the triangle inequality.
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import (
-    MarginalMismatchError,
-    NonPositiveMassError,
-    PairMismatchError,
-    as_number,
-    check_exponent,
+from .errors import MarginalMismatchError, PairMismatchError, check_exponent
+from .measures import (
+    DiscreteMeasure, _canonical_atoms, _finite_sum, _positive_mass, measures_close
 )
-from .measures import DiscreteMeasure, _canonical_atoms, measures_close
 from .pairs import MetricPair
 
 
@@ -52,7 +47,8 @@ def new_plan(pair, entries, p) -> TransportPlan:
 
     Entries with a non-positive or infinite mass, or with both endpoints in
     A (plans live on X x X minus A x A), are rejected; duplicate (source,
-    target) pairs are merged.  Each endpoint is validated once.
+    target) pairs are merged, and a merged mass that overflows to inf is
+    rejected.  Each endpoint is validated once.
     """
     p = check_exponent(p)
     validate = pair.validate_point
@@ -61,27 +57,23 @@ def new_plan(pair, entries, p) -> TransportPlan:
 
 def _plan(pair, entries, p: float) -> TransportPlan:
     """:func:`new_plan` on validated endpoints and a checked exponent."""
-    merged = {}
+    checked = []
     for src, dst, mass in entries:
-        mass = as_number(mass)
-        if not mass > 0.0:
-            raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has non-positive mass {mass}")
-        if mass == math.inf:
-            raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has infinite mass")
+        mass = _positive_mass(mass, "entry {!r} -> {!r}", src, dst)
         if pair._in_A(src) and pair._in_A(dst):
             raise ValueError(f"entry {src!r} -> {dst!r} is supported on A x A")
-        merged[(src, dst)] = merged.get((src, dst), 0.0) + mass
+        checked.append(((src, dst), mass))
     # A tuple of a list, not of a generator: a generator's tuple is resized
     # to fit, so each freed plan fills a CPython tuple free list that nothing
     # draws from, and peak memory grows.
-    canon = tuple([(s, d, m) for (s, d), m in sorted(merged.items())])
+    canon = tuple([(s, d, m) for (s, d), m in _canonical_atoms(checked)])
     return TransportPlan(pair, canon, p)
 
 
 def cost(plan: TransportPlan, p) -> float:
-    """Total transport cost: sum of mass * d(source, target)^p."""
+    """Total transport cost: sum of mass * d(source, target)^p, or FloatRangeError past floats."""
     p = check_exponent(p)
-    return sum(m * plan.pair._distance(s, d) ** p for s, d, m in plan.entries)
+    return _finite_sum(m * plan.pair._distance(s, d) ** p for s, d, m in plan.entries)
 
 
 def marginals(plan: TransportPlan):
@@ -163,30 +155,26 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     incoming = {}  # middle point in Omega -> [(first point, mass)]
     outgoing = {}  # middle point in Omega -> [(last point, mass)]
     triples = []
-    defect12 = {}
-    defect23 = {}
+    defect12 = []
+    defect23 = []
 
     for s, d, m in plan12.entries:
         if pair._in_A(d):
             triples.append((s, d, d, m))
-            defect23[d] = defect23.get(d, 0.0) + m
+            defect23.append((d, m))
         else:
             incoming.setdefault(d, []).append((s, m))
     for s, d, m in plan23.entries:
         if pair._in_A(s):
             triples.append((s, s, d, m))
-            defect12[s] = defect12.get(s, 0.0) + m
+            defect12.append((s, m))
         else:
             outgoing.setdefault(s, []).append((d, m))
 
-    m_in = {y: sum(m for _, m in srcs) for y, srcs in incoming.items()}
-    m_out = {y: sum(m for _, m in dsts) for y, dsts in outgoing.items()}
-    if not measures_close(
-        DiscreteMeasure(pair, tuple(sorted(m_in.items()))),
-        DiscreteMeasure(pair, tuple(sorted(m_out.items()))),
-        mass_tol=1e-10,
-    ):
+    middle_out = marginals(plan23)[0]
+    if not measures_close(marginals(plan12)[1], middle_out, mass_tol=1e-10):
         raise MarginalMismatchError("the middle marginals of the glued plans differ")
+    m_out = middle_out.mass_by_point()
     for y, srcs in incoming.items():
         for x, m in srcs:
             for z, n in outgoing[y]:
@@ -195,29 +183,26 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     return GluedPlan(
         pair,
         tuple(sorted(triples)),
-        tuple(sorted(defect12.items())),
-        tuple(sorted(defect23.items())),
+        _canonical_atoms(defect12),
+        _canonical_atoms(defect23),
         plan12.p,
     )
 
 
 def _project(glued: GluedPlan, first: int, last: int):
     pair = glued.pair
-    kept = {}
-    diag = {}
+    kept = []
+    diag = []
     for triple in glued.triples:
         a, b = triple[first], triple[last]
-        m = triple[3]
         if pair._in_A(a) and pair._in_A(b):
             # Pairs landing in A x A sit on the diagonal by construction.
-            diag[a] = diag.get(a, 0.0) + m
+            diag.append((a, triple[3]))
         else:
-            kept[(a, b)] = kept.get((a, b), 0.0) + m
+            kept.append(((a, b), triple[3]))
     # A tuple of a list, as in new_plan.
-    plan = TransportPlan(
-        pair, tuple([(s, d, m) for (s, d), m in sorted(kept.items())]), glued.p
-    )
-    return plan, tuple(sorted(diag.items()))
+    entries = tuple([(s, d, m) for (s, d), m in _canonical_atoms(kept)])
+    return TransportPlan(pair, entries, glued.p), _canonical_atoms(diag)
 
 
 def projection_12(glued: GluedPlan):

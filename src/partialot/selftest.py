@@ -35,7 +35,7 @@ from .measures import (
 from .oracle import brute_force_diagram, brute_force_wb
 from .pairs import EuclideanBoxPair, HalfPlanePair
 from .plans import compose, cost as plan_cost, glue, new_plan, projection_12, projection_23
-from .solver import diagram_distance, solve, solve_detail, wb_distance
+from .solver import diagram_distance, solve, wb_distance
 
 DEFAULT_SEED = 20260811
 
@@ -112,8 +112,14 @@ def _triple_instances(seed, count, max_atoms=6):
         )
 
 
-def _criterion(number, name):
-    """Make a body returning ``(worst, passed, detail)`` into a timed criterion."""
+CRITERIA = ()  # in order, each added by _criterion
+
+
+def _criterion(number, name, **quick):
+    """Make a body returning ``(worst, passed, detail)`` into a timed criterion.
+
+    It joins :data:`CRITERIA` with its ``number`` and the counts ``quick`` of ``--quick``.
+    """
 
     def decorate(body):
         @functools.wraps(body)
@@ -124,12 +130,15 @@ def _criterion(number, name):
                 number, name, passed, worst, detail, time.perf_counter() - start
             )
 
+        global CRITERIA
+        criterion.number, criterion.quick = number, quick
+        CRITERIA += (criterion,)
         return criterion
 
     return decorate
 
 
-@_criterion(1, "oracle-equivalence")
+@_criterion(1, "oracle-equivalence", count=50)
 def criterion_oracle_equivalence(seed=DEFAULT_SEED, count=500):
     """Solver agrees with the brute-force oracle on small unit-mass instances."""
     worst = 0.0
@@ -140,7 +149,7 @@ def criterion_oracle_equivalence(seed=DEFAULT_SEED, count=500):
     return worst, worst <= 1e-9, f"{count} instances"
 
 
-@_criterion(2, "diagram-embedding")
+@_criterion(2, "diagram-embedding", count=20)
 def criterion_embedding(seed=DEFAULT_SEED, count=200):
     """Diagram distance equals Wb_p on embedded measures and the oracle value."""
     worst = 0.0
@@ -153,7 +162,7 @@ def criterion_embedding(seed=DEFAULT_SEED, count=200):
     return worst, worst <= 1e-9, f"{count} diagram pairs"
 
 
-@_criterion(3, "metric-axioms")
+@_criterion(3, "metric-axioms", count=20)
 def criterion_metric_axioms(seed=DEFAULT_SEED, count=200):
     """Symmetry, vanishing self-distance, triangle inequality.
 
@@ -175,7 +184,7 @@ def criterion_metric_axioms(seed=DEFAULT_SEED, count=200):
     return worst, worst <= 1.0, f"{count} triples (worst in tolerance units)"
 
 
-@_criterion(4, "distance-to-zero")
+@_criterion(4, "distance-to-zero", count=20)
 def criterion_distance_to_zero(seed=DEFAULT_SEED, count=100):
     """Wb_p(mu, 0)^p equals the p-energy of mu."""
     rng = random.Random(seed * 1000 + 4)
@@ -213,7 +222,7 @@ def _perturb_swap(rng, plan):
     return new_plan(plan.pair, entries, plan.p)
 
 
-@_criterion(5, "optimality-certificates")
+@_criterion(5, "optimality-certificates", count1=50, count2=20, count3=20)
 def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200):
     """Optimality certificates hold for every solver plan from criteria 1-3,
     and mass-preserving single-edge perturbations are rejected.
@@ -268,7 +277,7 @@ def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200
     return worst, (not failed) and sensitivity_ok, detail
 
 
-@_criterion(6, "geodesics")
+@_criterion(6, "geodesics", count=5)
 def criterion_geodesics(seed=DEFAULT_SEED, count=50):
     """Constant speed, endpoint recovery and interior atoms off A."""
     rng = random.Random(seed * 1000 + 6)
@@ -299,7 +308,7 @@ def criterion_geodesics(seed=DEFAULT_SEED, count=50):
     return worst, ok, f"{count} paths, recovery={recovery_ok}, interior={interior_ok}"
 
 
-@_criterion(7, "non-negative-curvature")
+@_criterion(7, "non-negative-curvature", count=10)
 def criterion_curvature(seed=DEFAULT_SEED, count=100):
     """Non-negative curvature comparison margin at p = 2."""
     rng = random.Random(seed * 1000 + 7)
@@ -314,7 +323,7 @@ def criterion_curvature(seed=DEFAULT_SEED, count=100):
     return min_margin, min_margin >= -1e-8, f"{count} triples"
 
 
-@_criterion(8, "angle-at-zero")
+@_criterion(8, "angle-at-zero", count=20)
 def criterion_angle_at_zero(seed=DEFAULT_SEED, count=200):
     """No obtuse angles at the zero measure."""
     rng = random.Random(seed * 1000 + 8)
@@ -327,7 +336,7 @@ def criterion_angle_at_zero(seed=DEFAULT_SEED, count=200):
     return min_value, min_value >= -1e-10, f"{count} pairs"
 
 
-@_criterion(9, "truncation")
+@_criterion(9, "truncation", count=10)
 def criterion_truncation(seed=DEFAULT_SEED, count=50):
     """Truncation distance is monotone, tail-bounded and eventually zero."""
     rng = random.Random(seed * 1000 + 9)
@@ -356,7 +365,7 @@ def criterion_truncation(seed=DEFAULT_SEED, count=50):
     return max(worst, 0.0), ok, f"{count} measures, 9 radii"
 
 
-@_criterion(10, "gluing-composition")
+@_criterion(10, "gluing-composition", count=10)
 def criterion_gluing(seed=DEFAULT_SEED, count=100):
     """Glued projections recover the inputs; composition obeys the triangle bound."""
     worst = 0.0
@@ -382,36 +391,5 @@ def criterion_gluing(seed=DEFAULT_SEED, count=100):
     return worst, ok and worst <= 1e-9, f"{count} triples"
 
 
-CRITERIA = (
-    criterion_oracle_equivalence,
-    criterion_embedding,
-    criterion_metric_axioms,
-    criterion_distance_to_zero,
-    criterion_certificates,
-    criterion_geodesics,
-    criterion_curvature,
-    criterion_angle_at_zero,
-    criterion_truncation,
-    criterion_gluing,
-)
-
-_QUICK_COUNTS = {
-    criterion_oracle_equivalence: {"count": 50},
-    criterion_embedding: {"count": 20},
-    criterion_metric_axioms: {"count": 20},
-    criterion_distance_to_zero: {"count": 20},
-    criterion_certificates: {"count1": 50, "count2": 20, "count3": 20},
-    criterion_geodesics: {"count": 5},
-    criterion_curvature: {"count": 10},
-    criterion_angle_at_zero: {"count": 20},
-    criterion_truncation: {"count": 10},
-    criterion_gluing: {"count": 10},
-}
-
-
 def run_all(seed=DEFAULT_SEED, quick=False):
-    results = []
-    for fn in CRITERIA:
-        kwargs = _QUICK_COUNTS[fn] if quick else {}
-        results.append(fn(seed=seed, **kwargs))
-    return results
+    return [fn(seed=seed, **(fn.quick if quick else {})) for fn in CRITERIA]

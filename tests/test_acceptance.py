@@ -18,6 +18,24 @@ def _run(criterion, **kwargs):
     return result
 
 
+def test_criteria_are_registered_in_order_with_their_quick_counts():
+    assert [c.number for c in selftest.CRITERIA] == list(range(1, 11))
+    assert [c.quick for c in selftest.CRITERIA] == [
+        {"count": 50},
+        {"count": 20},
+        {"count": 20},
+        {"count": 20},
+        {"count1": 50, "count2": 20, "count3": 20},
+        {"count": 5},
+        {"count": 10},
+        {"count": 20},
+        {"count": 10},
+        {"count": 10},
+    ]
+    assert selftest.CRITERIA[0] is selftest.criterion_oracle_equivalence
+    assert selftest.CRITERIA[-1] is selftest.criterion_gluing
+
+
 def test_criterion_1_oracle_equivalence():
     # 500 instances, <= 4 unit atoms/side, p in {1, 1.5, 2, 3}, gap <= 1e-9
     _run(selftest.criterion_oracle_equivalence)

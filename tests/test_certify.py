@@ -15,7 +15,10 @@ from partialot import (
     FinitePair,
     HalfPlanePair,
     InadmissiblePlanError,
+    InvalidPointError,
     MissingPotentialError,
+    NonPositiveMassError,
+    TransportPlan,
     certify_optimal,
     new_measure,
     new_plan,
@@ -199,6 +202,25 @@ def test_boundary_shipping_is_relative_to_the_distance_to_A():
     report = certify_optimal(mu, zero_measure(HP), far, duals, 2)
     assert not report.boundary_shipping
     assert report.concentrated_on_S and report.potentials_valid and report.cost_optimal
+
+
+def test_boundary_shipping_validates_boundary_endpoints():
+    # A raw TransportPlan validates nothing; (2, 1) lies below the diagonal.
+    for entry in (((1.0, 1.0), (2.0, 1.0), 1.0), ((2.0, 1.0), (1.0, 1.0), 1.0)):
+        with pytest.raises(InvalidPointError, match="below the diagonal"):
+            boundary_shipping_violation(TransportPlan(HP, (entry,), 2.0))
+
+
+def test_certify_optimal_refuses_a_plan_whose_marginal_overflows():
+    # x of mass 1e308 ships 1e308 to each of y1 and y2, so the plan's source
+    # marginal at x is inf, which is within any relative tolerance of 1e308.
+    x, y1, y2 = (0, 1), (0, 2), (0, 3)
+    unit = solve(new_measure(HP, [(x, 1.0)]), new_measure(HP, [(y1, 1.0), (y2, 1.0)]), 2)
+    mu = new_measure(HP, [(x, 1e308)])
+    nu = new_measure(HP, [(y1, 1e308), (y2, 1e308)])
+    plan = new_plan(HP, [(x, y1, 1e308), (x, y2, 1e308)], 2)
+    with pytest.raises(NonPositiveMassError, match="infinite"):
+        certify_optimal(mu, nu, plan, unit.duals, 2)
 
 
 def test_certify_optimal_solver_output():

@@ -336,6 +336,46 @@ def test_float_overflow_exits_1(measures, tmp_path, capsys, atoms, p):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_merged_infinite_mass_exits_1(measures, tmp_path, capsys):
+    a, _ = measures
+    bad = tmp_path / "dup.measure"
+    atom = {"point": [0, 1], "mass": 1e308}
+    bad.write_text(json.dumps({"pair": {"kind": "half_plane"}, "atoms": [atom, atom]}))
+    assert main(["dist", str(bad), a]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "infinite mass" in err
+
+
+def test_certify_plan_with_an_infinite_marginal_exits_1(tmp_path, capsys):
+    # The plan's source marginal at x is 2e308 = inf: not admissible.
+    from partialot import new_plan, solve
+
+    a, b, plan_file = (str(tmp_path / name) for name in ("a.measure", "b.measure", "huge.plan"))
+    x, y1, y2 = (0, 1), (0, 2), (0, 3)
+    unit = solve(new_measure(HP, [(x, 1.0)]), new_measure(HP, [(y1, 1.0), (y2, 1.0)]), 2)
+    pot_io.save_measure(new_measure(HP, [(x, 1e308)]), a)
+    pot_io.save_measure(new_measure(HP, [(y1, 1e308), (y2, 1e308)]), b)
+    plan = new_plan(HP, [(x, y1, 1e308), (x, y2, 1e308)], 2)
+    pot_io.save_plan(plan, plan_file, duals=unit.duals)
+    assert main(["certify", "--p", "2", a, b, plan_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "infinite mass" in captured.err
+
+
+def test_certify_plan_cost_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # d((0, 1e200), A)^2 is about 5e399: the printed plan cost overflows.
+    from partialot import DualPotentials, new_plan
+
+    a, z, plan_file = (str(tmp_path / name) for name in ("a.measure", "z.measure", "far.plan"))
+    pot_io.save_measure(new_measure(HP, [((0, 1e200), 1.0)]), a)
+    pot_io.save_measure(zero_measure(HP), z)
+    plan = new_plan(HP, [((0, 1e200), (5e199, 5e199), 1.0)], 2)
+    pot_io.save_plan(plan, plan_file, duals=DualPotentials({(0.0, 1e200): 0.0}, {}))
+    assert main(["certify", "--p", "2", a, z, plan_file]) == 1
+    assert capsys.readouterr().err.startswith("error: value out of the float range")
+
+
 def test_pair_mismatch_exit_code(tmp_path, capsys):
     from partialot import EuclideanBoxPair
 

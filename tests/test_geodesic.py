@@ -9,7 +9,9 @@ import partialot.geodesic
 from partialot import (
     EuclideanBoxPair,
     FinitePair,
+    GeodesicPath,
     HalfPlanePair,
+    NonPositiveMassError,
     UnsupportedPairError,
     angle_at_zero,
     branch_probe,
@@ -231,6 +233,17 @@ def test_branch_probe_rejects_bad_arguments():
     for t0 in (0.0, "0.5"):
         with pytest.raises(ValueError, match="probe time"):
             branch_probe(mu, mu, t0, 2)
+
+
+def test_interpolant_masses_must_stay_finite():
+    # Two entries of 1e308 leave (0, 1): at t = 0 their atoms merge to inf.
+    mu0 = new_measure(HP, [((0, 1), 1e308)])
+    mu1 = new_measure(HP, [((0, 2), 1e308), ((0, 3), 1e308)])
+    plan = new_plan(HP, [((0, 1), (0, 2), 1e308), ((0, 1), (0, 3), 1e308)], 2)
+    path = GeodesicPath(plan, HP, 2.0, 0.0, mu0, mu1)
+    with pytest.raises(NonPositiveMassError, match="infinite"):
+        interpolate_detail(path, 0.0)
+    assert len(interpolate(path, 0.5).atoms) == 2
 
 
 def test_interpolants_restricted_to_omega():

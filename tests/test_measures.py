@@ -6,6 +6,7 @@ import pytest
 
 from partialot import (
     AtomOnBoundaryError,
+    FloatRangeError,
     HalfPlanePair,
     NonPositiveMassError,
     diagram_to_measure,
@@ -16,6 +17,7 @@ from partialot import (
     wb_distance,
     zero_measure,
 )
+from partialot.measures import measures_close
 
 HP = HalfPlanePair()
 
@@ -35,6 +37,37 @@ def test_new_measure_rejects_bad_mass():
         new_measure(HP, [((0, 2), -1.0)])
     with pytest.raises(NonPositiveMassError, match="infinite"):
         new_measure(HP, [((0, 2), math.inf)])
+
+
+def test_merged_masses_must_stay_finite():
+    # Each atom is finite, but the two merge to 2e308 = inf.
+    with pytest.raises(NonPositiveMassError, match="infinite"):
+        new_measure(HP, [((0, 1), 1e308)] * 2)
+    assert new_measure(HP, [((0, 1), 1e308), ((0, 2), 1e308)]).atoms == (
+        ((0.0, 1.0), 1e308),
+        ((0.0, 2.0), 1e308),
+    )
+
+
+def test_p_energy_beyond_the_float_range_raises():
+    # d ** p overflows; one product overflows; the sum of two finite terms overflows.
+    for atoms, p in (
+        ([((0, 1e200), 1.0)], 2),
+        ([((0, 2e10), 1e300)], 2),
+        ([((0, 2), 1e308), ((1, 3), 1e308)], 1),
+    ):
+        with pytest.raises(FloatRangeError, match="float range"):
+            p_energy(new_measure(HP, atoms), p)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10, True, "1e-10"])
+def test_measures_close_tolerance_must_be_finite_and_non_negative(tol):
+    one = new_measure(HP, [((0, 2), 1.0)])
+    five = new_measure(HP, [((0, 2), 5.0)])
+    with pytest.raises(ValueError, match="mass tolerance"):
+        measures_close(one, five, mass_tol=tol)
+    assert measures_close(one, one, mass_tol=0.0)
+    assert not measures_close(one, five, mass_tol=1e-10)
 
 
 def test_duplicate_atoms_merge():

@@ -3,6 +3,7 @@
 import pytest
 
 from partialot import (
+    FloatRangeError,
     HalfPlanePair,
     MarginalMismatchError,
     NonPositiveMassError,
@@ -40,6 +41,26 @@ def test_plan_validation():
         new_plan(HP, [((0, 1), (0, 2), 0.0)], 2)
     with pytest.raises(NonPositiveMassError, match="infinite"):
         new_plan(HP, [((0, 1), (0, 2), float("inf"))], 2)
+
+
+def test_cost_beyond_the_float_range_raises():
+    # d ** p overflows; one product overflows; the sum of two finite terms overflows.
+    for entries in (
+        [((0, 1e200), (5e199, 5e199), 1.0)],
+        [((0, 1), (0, 3), 1e308)],
+        [((0, 1), (0, 2), 1e308), ((0, 3), (0, 4), 1e308)],
+    ):
+        with pytest.raises(FloatRangeError, match="float range"):
+            cost(new_plan(HP, entries, 2), 2)
+
+
+def test_merged_entries_and_marginals_must_stay_finite():
+    with pytest.raises(NonPositiveMassError, match="infinite"):
+        new_plan(HP, [((0, 1), (0, 2), 1e308)] * 2, 2)
+    # Two entries of 1e308 leave (0, 1): its source marginal would be inf.
+    plan = new_plan(HP, [((0, 1), (0, 2), 1e308), ((0, 1), (0, 3), 1e308)], 2)
+    with pytest.raises(NonPositiveMassError, match="infinite"):
+        marginals(plan)
 
 
 def test_plan_merges_duplicate_entries():
