@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .errors import UnsupportedPairError, check_exponent, is_number
-from .measures import DiscreteMeasure, _canonical_atoms, measures_close
+from .measures import DiscreteMeasure, _canonical_atoms, _finite_sum, measures_close
 from .pairs import _check_t
 from .solver import solve, solve_detail, wb_distance
 
@@ -52,19 +52,20 @@ def interpolate_detail(path: GeodesicPath, t):
     Every plan entry contributes an atom at the segment point; atoms on A
     (``pair.in_A``) are removed (the restriction to Omega), which only
     happens for boundary edges at their endpoints.  The plan's endpoints
-    are already validated; each segment point is validated once.
+    are already validated; each segment point is validated once.  A dropped
+    mass beyond the float range raises :class:`FloatRangeError`.
     """
     t = _check_t(t)
     pair = path.pair
     kept = []
-    dropped = 0.0
+    dropped = []
     for x, y, m in path.plan.entries:
         pt = pair._geo_point(x, y, t)
         if pair.in_A(pt):
-            dropped += m
+            dropped.append(m)
         else:
             kept.append((pt, m))
-    return DiscreteMeasure(pair, _canonical_atoms(kept)), dropped
+    return DiscreteMeasure(pair, _canonical_atoms(kept)), float(_finite_sum(dropped))
 
 
 def interpolate(path: GeodesicPath, t) -> DiscreteMeasure:

@@ -11,11 +11,11 @@ boundary node per side:
 The boundary source supplies the total mass of the sink measure and the
 boundary sink demands the total mass of the source measure, which balances
 the problem without changing the optimal value.  The masses go on one
-integer scale and the cost cells on another, the integer simplex of
-``_simplex`` solves it exactly, and one correctly rounded division per value
-at the end yields Wb_p^p as the optimal value, an optimal plan whose
-boundary flows are re-expanded to per-point projections, and dual
-potentials that vanish on A after normalisation.
+integer scale, the cost cells stay on ``cost_matrix``'s power-of-two scale,
+the integer simplex of ``_simplex`` solves it exactly, and one correctly
+rounded division per value at the end yields Wb_p^p as the optimal value, an
+optimal plan whose boundary flows are re-expanded to per-point projections,
+and dual potentials that vanish on A after normalisation.
 """
 
 from fractions import Fraction
@@ -69,12 +69,15 @@ class AugmentedProblem(NamedTuple):
     """The balanced transportation instance solved for Wb_p.
 
     ``cost_exact`` has (len(sources) + 1) rows and (len(sinks) + 1) columns
-    of Fractions; the last row/column belong to the boundary node.
+    of Fractions; the last row/column belong to the boundary node.  Each is
+    ``Fraction(cells[i][j], scale)``: ``pair.cost_matrix``'s ints over its power-of-two scale.
     """
 
     sources: tuple  # ((point, supply), ...)
     sinks: tuple
     cost_exact: tuple  # of tuples of Fractions
+    cells: list  # of lists of ints
+    scale: int
 
 
 class DualPotentials(NamedTuple):
@@ -121,6 +124,7 @@ def build_augmented_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Augm
         # slots and is resized, so CPython's free list of its final size is
         # filled on every free and never drawn from, and peak memory grows.
         cost_exact=tuple([tuple([Fraction(c, scale) for c in row]) for row in cells]),
+        cells=cells, scale=scale,
     )
 
 
@@ -136,17 +140,14 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     m, n = len(mu.atoms), len(nu.atoms)
 
     # Masses as ints over one scale (the lcm of their denominators), cost
-    # cells over another; each boundary node carries the other side's exact
-    # total.  Lists, not generators, in lcm(*...): see build_augmented_problem.
+    # cells over cost_matrix's; each boundary node carries the other side's
+    # exact total.  A list, not a generator, in lcm(*...): see build_augmented_problem.
     ratios = [mass.as_integer_ratio() for atoms in (mu.atoms, nu.atoms) for _, mass in atoms]
     mass_scale = lcm(*[d for _, d in ratios])
     masses = [a * (mass_scale // d) for a, d in ratios]
     supply = masses[:m] + [sum(masses[m:])]
     demand = masses[m:] + [sum(masses[:m])]
-    cost_scale = lcm(*[c.denominator for row in problem.cost_exact for c in row])
-    cost = [
-        [c.numerator * (cost_scale // c.denominator) for c in row] for row in problem.cost_exact
-    ]
+    cost, cost_scale = problem.cells, problem.scale
 
     flows, u, v, alt = solve_transportation(supply, demand, cost)
 
@@ -155,11 +156,9 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     # phi = u + v_boundary, psi = v + u_boundary.  Feasibility and
     # complementary slackness carry over exactly (the corner cell has cost 0).
     # Int true division rounds correctly, as float(Fraction) does.
-    v_b = v[n]
-    u_b = u[m]
     wb_p = _rounded(total, mass_scale * cost_scale)
-    phi = {mu.atoms[i][0]: _rounded(u[i] + v_b, cost_scale) for i in range(m)}
-    psi = {nu.atoms[j][0]: _rounded(v[j] + u_b, cost_scale) for j in range(n)}
+    phi = {mu.atoms[i][0]: _rounded(u[i] + v[n], cost_scale) for i in range(m)}
+    psi = {nu.atoms[j][0]: _rounded(v[j] + u[m], cost_scale) for j in range(n)}
     if total > 0 and wb_p == 0.0:
         raise FloatRangeError("value out of the float range: the optimum Wb_p^p > 0 underflows")
     wb = wb_p ** (1.0 / p)

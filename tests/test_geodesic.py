@@ -9,6 +9,7 @@ import partialot.geodesic
 from partialot import (
     EuclideanBoxPair,
     FinitePair,
+    FloatRangeError,
     GeodesicPath,
     HalfPlanePair,
     NonPositiveMassError,
@@ -244,6 +245,16 @@ def test_interpolant_masses_must_stay_finite():
     with pytest.raises(NonPositiveMassError, match="infinite"):
         interpolate_detail(path, 0.0)
     assert len(interpolate(path, 0.5).atoms) == 2
+
+
+def test_dropped_mass_must_stay_finite():
+    # Both atoms reach A at t = 1, and their masses sum past the float range.
+    mu = new_measure(HP, [((0.0, 0.5), 1e308), ((0.0, 0.25), 1e308)])
+    path = geodesic_path(mu, zero_measure(HP), 2)
+    with pytest.raises(FloatRangeError, match="float range"):
+        interpolate_detail(path, 1.0)
+    measure, dropped = interpolate_detail(path, 0.5)
+    assert len(measure.atoms) == 2 and dropped == 0.0
 
 
 def test_interpolants_restricted_to_omega():

@@ -76,9 +76,15 @@ def _magnitude():
     )
 
 
+def _wide_magnitude():
+    """Positive floats from 2^-200 to 2^200, where the exact cost ints are widest."""
+    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-199, 200))
+
+
 def _half_plane_point():
-    return st.builds(lambda a, sign, d: (sign * a, sign * a + d), _magnitude(),
-                     st.sampled_from([1.0, -1.0]), _magnitude())
+    magnitude = st.one_of(_magnitude(), _wide_magnitude())
+    return st.builds(lambda a, sign, d: (sign * a, sign * a + d), magnitude,
+                     st.sampled_from([1.0, -1.0]), magnitude)
 
 
 def _box_point():

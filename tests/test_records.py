@@ -24,7 +24,7 @@ from partialot.selftest import CriterionResult
 HP = HalfPlanePair()
 
 _FIELDS = {
-    AugmentedProblem: ("sources", "sinks", "cost_exact"),
+    AugmentedProblem: ("sources", "sinks", "cost_exact", "cells", "scale"),
     DualPotentials: ("phi", "psi"),
     CertificateReport: (
         "concentrated_on_S",

@@ -32,6 +32,7 @@ from partialot import (
     zero_measure,
 )
 from partialot.certify import concentration_violation
+from partialot.pairs import _MAX_CELL_BITS, MetricPair
 from partialot.plans import cost as plan_cost
 
 HP = HalfPlanePair()
@@ -171,6 +172,38 @@ def test_cost_matrix_matches_per_cell_fractions(kind, p):
     x, y = xs[0], ys[-1]
     assert pair.cost_cell(x, y, p) == _reference_cells(pair, [x], [y], p)[0][0]
     assert pair.boundary_cell(x, p) == _reference_cells(pair, [x], [], p)[0][0]
+
+
+def _check_cost_views(pair, xs, ys, p):
+    """The record keeps cost_matrix's ints and scale, and its Fractions are those cells."""
+    mu = new_measure(pair, [(x, 1.0) for x in xs])
+    nu = new_measure(pair, [(y, 0.5) for y in ys])
+    problem = build_augmented_problem(mu, nu, p)
+    want = pair.cost_matrix([x for x, _ in mu.atoms], [y for y, _ in nu.atoms], p)
+    assert (problem.cells, problem.scale) == want
+    assert all(type(c) is int for row in problem.cells for c in row)
+    assert problem.scale > 0 and problem.scale & (problem.scale - 1) == 0
+    assert problem.cost_exact == tuple(
+        tuple(Fraction(c, problem.scale) for c in row) for row in problem.cells
+    )
+
+
+# p = 2 takes the int grid on the half-plane and the box, and integer p the
+# exact powers on the finite pair; p = 1.5 (and 1 and 3 off the finite pair)
+# read the float d ** p exactly.
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_augmented_problem_keeps_the_cost_matrix_ints(kind, p):
+    _check_cost_views(*_wide_points(kind, p), p)
+
+
+def test_augmented_problem_keeps_the_float_fallback_ints():
+    # 0.1 is a 56-bit ratio, so its exact 60th power would pass _MAX_CELL_BITS.
+    pair = FinitePair(((0, 0.1, 2.5), (0.1, 0, 2.5), (2.5, 2.5, 0)), frozenset({0}))
+    xs, ys = [1, 2], [2, 1]
+    assert 60 * Fraction(0.1).denominator.bit_length() > _MAX_CELL_BITS
+    assert pair.cost_matrix(xs, ys, 60) == MetricPair.cost_matrix(pair, xs, ys, 60)
+    _check_cost_views(pair, xs, ys, 60)
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3])
