@@ -9,6 +9,7 @@ diagram-distance machinery.
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import (
     AtomOnBoundaryError, FloatRangeError, NonPositiveMassError,
@@ -32,7 +33,8 @@ class DiscreteMeasure:
 
     @property
     def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
+        """The sum of the masses, or FloatRangeError beyond the float range."""
+        return _finite_sum(m for _, m in self.atoms)
 
     @property
     def is_zero(self) -> bool:
@@ -42,7 +44,11 @@ class DiscreteMeasure:
         return {pt: m for pt, m in self.atoms}
 
     def __repr__(self):
-        return f"DiscreteMeasure({self.pair.kind}, {len(self.atoms)} atoms, mass {self.total_mass:g})"
+        try:
+            mass = f"mass {self.total_mass:g}"
+        except FloatRangeError:
+            mass = "mass out of the float range"
+        return f"DiscreteMeasure({self.pair.kind}, {len(self.atoms)} atoms, {mass})"
 
 
 def _positive_mass(mass, what: str, *where) -> float:
@@ -172,5 +178,10 @@ def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, mass_tol: float) -> b
 
 
 def diagram_to_measure(sigma: PersistenceDiagram) -> DiscreteMeasure:
-    """Embed a diagram as the sum of unit Dirac masses at its points."""
-    return DiscreteMeasure(sigma.pair, _canonical_atoms((pt, 1.0) for pt in sigma.points))
+    """Embed a diagram as the sum of unit Dirac masses at its points.
+
+    The points are sorted, so equal points form runs, and each run is one
+    atom whose mass is its length.
+    """
+    atoms = tuple([(pt, float(len(list(run)))) for pt, run in groupby(sigma.points)])
+    return DiscreteMeasure(sigma.pair, atoms)

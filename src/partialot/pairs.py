@@ -49,11 +49,12 @@ class MetricPair:
 
     Subclasses provide ``validate_point`` and, on validated points,
     ``_distance``, ``_dist_to_A``, ``_project_A`` and, when
-    ``geodesic_capable``, ``_geo_point``.  Each public method validates its
-    points, then calls its private twin; the package calls the twins itself
-    on points it has already validated.  :meth:`cost_matrix` builds the
-    whole boundary-augmented matrix of transport costs in one pass that
-    validates each atom once.
+    ``geodesic_capable``, ``_geo_point``; they may override ``_cost_matrix``
+    for exact powers.  Each public method validates its points, then calls
+    its private twin; the package calls the twins itself on points it has
+    already validated, such as a measure's atoms or a plan's endpoints.
+    :meth:`cost_matrix` validates each atom once, then builds the whole
+    boundary-augmented matrix of transport costs in one pass.
     Every cell is a dyadic rational, because every input is a float: the
     float cost read exactly, or genuinely exact arithmetic for p = 2 on the
     Euclidean pairs and integer p on finite pairs.  ``cost_cell`` and
@@ -108,12 +109,15 @@ class MetricPair:
         ``cells`` has len(xs) + 1 rows of len(ys) + 1 Python ints; cell
         (i, j) stands for ``cells[i][j] / scale``, and ``scale`` is a power of
         two.  Row i < len(xs) holds d(x_i, y_j)^p, then d(x_i, A)^p; the last
-        row holds d(y_j, A)^p, then 0.  Here each cell is the float
-        ``d ** p`` read exactly; subclasses override this for exact powers.
-        A cost beyond the float range, or a positive distance whose
-        ``d ** p`` underflows to 0, raises :class:`FloatRangeError`.
+        row holds d(y_j, A)^p, then 0.  Each cell is the float ``d ** p``
+        read exactly, or an exact power where the pair has one.  A cost
+        beyond the float range, or a positive distance whose ``d ** p``
+        underflows to 0, raises :class:`FloatRangeError`.
         """
-        xs, ys = self._validated(xs, ys)
+        validate = self.validate_point
+        return self._cost_matrix([validate(x) for x in xs], [validate(y) for y in ys], p)
+
+    def _cost_matrix(self, xs, ys, p) -> tuple:
         try:
             rows = [
                 [(self._distance(x, y) ** p).as_integer_ratio() for y in ys]
@@ -136,9 +140,6 @@ class MetricPair:
             for d, cell in zip(drow, row):
                 if d > 0.0 and cell == (0, 1):
                     raise FloatRangeError(f"value out of the float range: {d!r} ** {p} is 0")
-
-    def _validated(self, xs, ys) -> tuple:
-        return [self.validate_point(x) for x in xs], [self.validate_point(y) for y in ys]
 
     def cost_cell(self, x, y, p) -> Fraction:
         """Transport cost d(x, y)^p as an exact rational (a view of cost_matrix)."""
@@ -229,11 +230,10 @@ class HalfPlanePair(MetricPair):
         s = 1.0 - t
         return (s * xa + t * ya, s * xb + t * yb)
 
-    def cost_matrix(self, xs, ys, p) -> tuple:
+    def _cost_matrix(self, xs, ys, p) -> tuple:
         """At p = 2 the exact squares |x - y|^2 and (b - a)^2 / 2 in int arithmetic."""
         if p != 2:
-            return super().cost_matrix(xs, ys, p)
-        xs, ys = self._validated(xs, ys)
+            return super()._cost_matrix(xs, ys, p)
         (xs, ys), k = _on_one_grid((xs, ys))
         # The scale 2^(2k + 1) takes the boundary's / 2, so direct cells double.
         rows = [
@@ -316,11 +316,10 @@ class EuclideanBoxPair(MetricPair):
             min(max(s * a + t * b, l), h) for a, b, l, h in zip(x, y, self.lo, self.hi)
         )
 
-    def cost_matrix(self, xs, ys, p) -> tuple:
+    def _cost_matrix(self, xs, ys, p) -> tuple:
         """At p = 2 the exact squares |x - y|^2 and d(x, A)^2 in int arithmetic."""
         if p != 2:
-            return super().cost_matrix(xs, ys, p)
-        xs, ys = self._validated(xs, ys)
+            return super()._cost_matrix(xs, ys, p)
         (xs, ys, (lo, hi)), k = _on_one_grid((xs, ys, (self.lo, self.hi)))
 
         def to_A(pt):
@@ -407,12 +406,11 @@ class FinitePair(MetricPair):
         # Smallest index among nearest boundary points.
         return min(self.subset, key=lambda a: (self.table[x][a], a))
 
-    def cost_matrix(self, xs, ys, p) -> tuple:
+    def _cost_matrix(self, xs, ys, p) -> tuple:
         """At integer p, exact powers n^p / d^p of the entries up to ``_MAX_CELL_BITS`` bits."""
         if not float(p).is_integer():
-            return super().cost_matrix(xs, ys, p)
+            return super()._cost_matrix(xs, ys, p)
         k = int(p)
-        xs, ys = self._validated(xs, ys)
         rows = [
             [self._distance(x, y).as_integer_ratio() for y in ys]
             + [self._dist_to_A(x).as_integer_ratio()]
@@ -420,7 +418,7 @@ class FinitePair(MetricPair):
         ]
         rows.append([self._dist_to_A(y).as_integer_ratio() for y in ys] + [(0, 1)])
         if k * max(v.bit_length() for row in rows for cell in row for v in cell) > _MAX_CELL_BITS:
-            return super().cost_matrix(xs, ys, p)
+            return super()._cost_matrix(xs, ys, p)
         return _on_one_scale([[(n**k, q**k) for n, q in row] for row in rows])
 
     def describe(self) -> dict:

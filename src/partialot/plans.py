@@ -32,7 +32,8 @@ class TransportPlan:
 
     @property
     def total_mass(self) -> float:
-        return sum(m for _, _, m in self.entries)
+        """The sum of the masses, or FloatRangeError beyond the float range."""
+        return _finite_sum(m for _, _, m in self.entries)
 
     @property
     def is_empty(self) -> bool:
@@ -134,7 +135,8 @@ class GluedPlan:
 
     @property
     def total_mass(self) -> float:
-        return sum(m for *_, m in self.triples)
+        """The sum of the masses, or FloatRangeError beyond the float range."""
+        return _finite_sum(m for *_, m in self.triples)
 
 
 def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:

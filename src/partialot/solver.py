@@ -16,6 +16,13 @@ the integer simplex of ``_simplex`` solves it exactly, and one correctly
 rounded division per value at the end yields Wb_p^p as the optimal value, an
 optimal plan whose boundary flows are re-expanded to per-point projections,
 and dual potentials that vanish on A after normalisation.
+
+One private step finds the exact optimum and Wb_p; each entry point then
+reads only what it returns from it.  :func:`wb_distance` reads nothing
+more, :func:`diagram_distance` the plan, :func:`solve` the plan and the
+duals, and :func:`solve_detail` also whether the optimum is degenerate.
+The atoms were validated when the measures were built, so no step here
+validates them again.
 """
 
 from fractions import Fraction
@@ -113,10 +120,14 @@ def _require_same_pair(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def build_augmented_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> AugmentedProblem:
-    """Assemble the boundary-augmented cost matrix over the two measures' atoms."""
+    """Assemble the boundary-augmented cost matrix over the two measures' atoms.
+
+    The atoms were validated when the measures were built, so their cells
+    come from the pair's unvalidated ``_cost_matrix``.
+    """
     _require_same_pair(mu, nu)
     p = check_exponent(p)
-    cells, scale = mu.pair.cost_matrix([x for x, _ in mu.atoms], [y for y, _ in nu.atoms], p)
+    cells, scale = mu.pair._cost_matrix([x for x, _ in mu.atoms], [y for y, _ in nu.atoms], p)
     return AugmentedProblem(
         sources=mu.atoms,
         sinks=nu.atoms,
@@ -128,16 +139,27 @@ def build_augmented_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Augm
     )
 
 
-def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
-    """Solve for Wb_p with full diagnostics (see :func:`solve`).
+class _Optimum(NamedTuple):
+    """An exact optimum of the augmented problem, with its Wb_p."""
 
-    Raises :class:`FloatRangeError` when a cost, the optimum or a potential
-    lies beyond the float range, or a positive optimum Wb_p^p underflows to 0.
+    wb: float
+    problem: AugmentedProblem
+    flows: dict  # (i, j) -> int flow over mass_scale, on the basis cells
+    u: list  # int row potentials over problem.scale
+    v: list  # int column potentials over problem.scale
+    alt: int  # non-basic cells of reduced cost 0
+    mass_scale: int
+
+
+def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _Optimum:
+    """Build the problem, scale the masses, run the simplex and round Wb_p once.
+
+    ``p`` is already checked.  Raises :class:`FloatRangeError` when a cost or
+    the optimum lies beyond the float range, or a positive optimum Wb_p^p
+    underflows to 0.
     """
-    p = check_exponent(p)
     problem = build_augmented_problem(mu, nu, p)
-    pair = mu.pair
-    m, n = len(mu.atoms), len(nu.atoms)
+    m = len(mu.atoms)
 
     # Masses as ints over one scale (the lcm of their denominators), cost
     # cells over cost_matrix's; each boundary node carries the other side's
@@ -147,37 +169,63 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     masses = [a * (mass_scale // d) for a, d in ratios]
     supply = masses[:m] + [sum(masses[m:])]
     demand = masses[m:] + [sum(masses[:m])]
-    cost, cost_scale = problem.cells, problem.scale
+    cost = problem.cells
 
     flows, u, v, alt = solve_transportation(supply, demand, cost)
 
     total = sum(f * cost[i][j] for (i, j), f in flows.items())
-    # Shift the raw transportation duals so the boundary potentials vanish:
-    # phi = u + v_boundary, psi = v + u_boundary.  Feasibility and
-    # complementary slackness carry over exactly (the corner cell has cost 0).
     # Int true division rounds correctly, as float(Fraction) does.
-    wb_p = _rounded(total, mass_scale * cost_scale)
-    phi = {mu.atoms[i][0]: _rounded(u[i] + v[n], cost_scale) for i in range(m)}
-    psi = {nu.atoms[j][0]: _rounded(v[j] + u[m], cost_scale) for j in range(n)}
+    wb_p = _rounded(total, mass_scale * problem.scale)
     if total > 0 and wb_p == 0.0:
         raise FloatRangeError("value out of the float range: the optimum Wb_p^p > 0 underflows")
-    wb = wb_p ** (1.0 / p)
+    return _Optimum(wb_p ** (1.0 / p), problem, flows, u, v, alt, mass_scale)
 
-    # The atoms were validated when the measures were built, and again by
-    # cost_matrix, so the plan is built from them without validating.
+
+def _duals(opt: _Optimum) -> DualPotentials:
+    """The optimum's potentials, shifted to vanish on A and rounded once each.
+
+    Shifting the raw transportation duals by the boundary potentials,
+    phi = u + v_boundary and psi = v + u_boundary, keeps feasibility and
+    complementary slackness exactly (the corner cell has cost 0).  A
+    potential beyond the float range raises :class:`FloatRangeError`.
+    """
+    sources, sinks, scale = opt.problem.sources, opt.problem.sinks, opt.problem.scale
+    m, n, u, v = len(sources), len(sinks), opt.u, opt.v
+    phi = {sources[i][0]: _rounded(u[i] + v[n], scale) for i in range(m)}
+    psi = {sinks[j][0]: _rounded(v[j] + u[m], scale) for j in range(n)}
+    return DualPotentials(phi, psi)
+
+
+def _plan_of(pair, opt: _Optimum, p: float) -> TransportPlan:
+    """The optimum's flows as a plan, boundary flows sent to nearest points of A."""
+    sources, sinks, mass_scale = opt.problem.sources, opt.problem.sinks, opt.mass_scale
+    m, n = len(sources), len(sinks)
+    # The atoms were validated when the measures were built, so the plan is
+    # built from them without validating.
     entries = []
-    for (i, j), f in flows.items():
+    for (i, j), f in opt.flows.items():
         if i < m and j < n:
-            entries.append((mu.atoms[i][0], nu.atoms[j][0], f / mass_scale))
+            entries.append((sources[i][0], sinks[j][0], f / mass_scale))
         elif i < m:
-            x = mu.atoms[i][0]
+            x = sources[i][0]
             entries.append((x, pair._project_A(x), f / mass_scale))
         elif j < n:
-            y = nu.atoms[j][0]
+            y = sinks[j][0]
             entries.append((pair._project_A(y), y, f / mass_scale))
         # boundary-to-boundary slack is dropped
-    plan = _plan(pair, entries, p)
-    return SolveDetail(wb, plan, DualPotentials(phi, psi), alt > 0)
+    return _plan(pair, entries, p)
+
+
+def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
+    """Solve for Wb_p with full diagnostics (see :func:`solve`).
+
+    Raises :class:`FloatRangeError` when a cost, the optimum or a potential
+    lies beyond the float range, or a positive optimum Wb_p^p underflows to 0.
+    """
+    p = check_exponent(p)
+    opt = _optimum(mu, nu, p)
+    duals = _duals(opt)
+    return SolveDetail(opt.wb, _plan_of(mu.pair, opt, p), duals, opt.alt > 0)
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveResult:
@@ -193,8 +241,12 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveResult:
 
 
 def wb_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> float:
-    """Just the distance value."""
-    return solve_detail(mu, nu, p).wb
+    """Just the distance value: no plan and no potentials are built.
+
+    Raises :class:`FloatRangeError` when a cost or the optimum lies beyond
+    the float range, or a positive optimum Wb_p^p underflows to 0.
+    """
+    return _optimum(mu, nu, check_exponent(p)).wb
 
 
 def diagram_distance(sigma: PersistenceDiagram, tau: PersistenceDiagram, p):
@@ -204,9 +256,12 @@ def diagram_distance(sigma: PersistenceDiagram, tau: PersistenceDiagram, p):
     the partial transport problem; with unit masses the exact solver returns
     a vertex of the transportation polytope, i.e. a permutation-style
     matching: direct entries pair diagram points, boundary entries are
-    deletions/insertions via diagonal projections.
+    deletions/insertions via diagonal projections.  The wb and plan are
+    bit for bit those of :func:`solve` on the embedded measures; no
+    potentials are built.
     """
     if sigma.pair != tau.pair:
         raise PairMismatchError("diagrams live on different metric pairs")
-    result = solve(diagram_to_measure(sigma), diagram_to_measure(tau), p)
-    return result.wb, result.plan
+    p = check_exponent(p)
+    opt = _optimum(diagram_to_measure(sigma), diagram_to_measure(tau), p)
+    return opt.wb, _plan_of(sigma.pair, opt, p)

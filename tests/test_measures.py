@@ -49,6 +49,18 @@ def test_merged_masses_must_stay_finite():
     )
 
 
+def test_total_mass_beyond_the_float_range_raises():
+    # Two atoms of 1e308 at different points: each is finite, the sum is not.
+    mu = new_measure(HP, [((0.0, 0.5), 1e308), ((0.0, 0.25), 1e308)])
+    with pytest.raises(FloatRangeError, match="float range"):
+        mu.total_mass
+    assert repr(mu) == "DiscreteMeasure(half_plane, 2 atoms, mass out of the float range)"
+    one = new_measure(HP, [((0.0, 0.5), 1e308), ((0.0, 0.25), 0.5e308)])
+    assert one.total_mass == 1.5e308
+    assert repr(one) == "DiscreteMeasure(half_plane, 2 atoms, mass 1.5e+308)"
+    assert zero_measure(HP).total_mass == 0.0
+
+
 def test_p_energy_beyond_the_float_range_raises():
     # d ** p overflows; one product overflows; the sum of two finite terms overflows.
     for atoms, p in (

@@ -63,6 +63,21 @@ def test_merged_entries_and_marginals_must_stay_finite():
         marginals(plan)
 
 
+def test_total_masses_beyond_the_float_range_raise():
+    # Two entries of 1e308 between different points: each is finite, the sum is not.
+    x, y1, y2, a1, a2 = (0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.5, 0.5), (1.5, 1.5)
+    plan = new_plan(HP, [(x, y1, 1e308), (x, y2, 1e308)], 2)
+    with pytest.raises(FloatRangeError, match="float range"):
+        plan.total_mass
+    assert new_plan(HP, [(x, y1, 1e308), (x, y2, 0.5e308)], 2).total_mass == 1.5e308
+    # Two boundary triples of 1e308 each: the glued plan's mass is 2e308.
+    glued = glue(new_plan(HP, [(x, a1, 1e308), (y1, a2, 1e308)], 2), new_plan(HP, [], 2))
+    assert len(glued.triples) == 2
+    with pytest.raises(FloatRangeError, match="float range"):
+        glued.total_mass
+    assert glue(new_plan(HP, [(x, a1, 1.0)], 2), new_plan(HP, [], 2)).total_mass == 1.0
+
+
 def test_plan_merges_duplicate_entries():
     plan = new_plan(HP, [((0, 1), (0, 2), 1.0), ((0, 1), (0, 2), 2.0)], 2)
     assert plan.entries == (((0.0, 1.0), (0.0, 2.0), 3.0),)

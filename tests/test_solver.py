@@ -197,12 +197,23 @@ def test_augmented_problem_keeps_the_cost_matrix_ints(kind, p):
     _check_cost_views(*_wide_points(kind, p), p)
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_WIDE))
+def test_unvalidated_cost_matrix_is_the_public_one_on_valid_points(kind, p):
+    pair, xs, ys = _wide_points(kind, p)
+    checked = [pair.validate_point(x) for x in xs], [pair.validate_point(y) for y in ys]
+    for m, n in ((len(xs), len(ys)), (0, len(ys)), (len(xs), 0), (0, 0)):
+        want = pair.cost_matrix(xs[:m], ys[:n], p)
+        assert pair._cost_matrix(checked[0][:m], checked[1][:n], p) == want
+
+
 def test_augmented_problem_keeps_the_float_fallback_ints():
     # 0.1 is a 56-bit ratio, so its exact 60th power would pass _MAX_CELL_BITS.
     pair = FinitePair(((0, 0.1, 2.5), (0.1, 0, 2.5), (2.5, 2.5, 0)), frozenset({0}))
     xs, ys = [1, 2], [2, 1]
     assert 60 * Fraction(0.1).denominator.bit_length() > _MAX_CELL_BITS
     assert pair.cost_matrix(xs, ys, 60) == MetricPair.cost_matrix(pair, xs, ys, 60)
+    assert pair._cost_matrix(xs, ys, 60) == pair.cost_matrix(xs, ys, 60)
     _check_cost_views(pair, xs, ys, 60)
 
 
@@ -260,6 +271,21 @@ def test_float_range_error_for_library_callers(atoms, p):
     with pytest.raises(FloatRangeError, match="value out of the float range") as info:
         solve(mu, zero_measure(HP), p)
     assert isinstance(info.value, PartialOTError) and isinstance(info.value, OverflowError)
+
+
+def test_only_returned_values_raise_float_range_errors():
+    # Matching (0, 2^700) to (1, 2^700) costs 1, but a potential of the
+    # optimum is near d(x, A)^2 = 2^1399, beyond the float range.  Only solve
+    # and solve_detail return potentials, so only they raise.
+    sigma, tau = new_diagram([(0.0, 2.0**700)]), new_diagram([(1.0, 2.0**700)])
+    mu, nu = new_measure(HP, [((0.0, 2.0**700), 1.0)]), new_measure(HP, [((1.0, 2.0**700), 1.0)])
+    for call in (solve, solve_detail):
+        with pytest.raises(FloatRangeError, match="value out of the float range"):
+            call(mu, nu, 2)
+    assert wb_distance(mu, nu, 2) == 1.0
+    dp, plan = diagram_distance(sigma, tau, 2)
+    assert dp == 1.0
+    assert plan.entries == (((0.0, 2.0**700), (1.0, 2.0**700), 1.0),)
 
 
 def test_cost_underflow_is_a_float_range_error():

@@ -9,11 +9,15 @@ from partialot import (
     FinitePair,
     HalfPlanePair,
     InvalidPointError,
+    certify_optimal,
+    diagram_distance,
     geodesic_path,
     interpolate,
+    new_diagram,
     new_measure,
     new_plan,
     solve,
+    wb_distance,
 )
 from partialot import io as pot_io
 from partialot.cli import main
@@ -57,11 +61,37 @@ def test_new_plan_validates_each_endpoint_once(calls):
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
-def test_solve_validates_each_atom_once(calls, p):
-    mu, nu = new_measure(HP, MU_ATOMS), new_measure(HP, NU_ATOMS)
-    calls()
-    solve(mu, nu, p)
-    assert calls() == len(MU_ATOMS) + len(NU_ATOMS)
+def test_solve_validates_each_atom_once(monkeypatch, p):
+    # Each atom is validated once, where it enters; no solve or certificate
+    # of the validated measures, diagrams or plans validates it again.
+    count = [0]
+    for cls in (HalfPlanePair, EuclideanBoxPair, FinitePair):
+        original = cls.validate_point
+
+        def counted(self, x, original=original):
+            count[0] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(cls, "validate_point", counted)
+    box_mu = [((1, 1), 1.0), ((2, 3), 2.0), ((0.5, 3.5), 0.5)]
+    box_nu = [((3, 3), 1.5), ((1, 2.5), 0.5)]
+    cases = [
+        (HP, MU_ATOMS, NU_ATOMS),
+        (BOX, box_mu, box_nu),
+        (FIN, [(1, 1.0), (2, 0.5)], [(2, 2.0)]),
+    ]
+    for pair, mu_atoms, nu_atoms in cases:
+        count[0] = 0
+        mu, nu = new_measure(pair, mu_atoms), new_measure(pair, nu_atoms)
+        sigma = new_diagram([pt for pt, _ in mu_atoms], pair)
+        tau = new_diagram([pt for pt, _ in nu_atoms], pair)
+        assert count[0] == 2 * (len(mu_atoms) + len(nu_atoms))
+        count[0] = 0
+        wb, plan, duals = solve(mu, nu, p)
+        wb_distance(mu, nu, p)
+        diagram_distance(sigma, tau, p)
+        assert certify_optimal(mu, nu, plan, duals, p).all_passed()
+        assert count[0] == 0, (pair.kind, p)
 
 
 def test_interpolate_validates_each_entry_once(calls):
@@ -102,3 +132,25 @@ def test_loaders_still_validate(tmp_path, capsys):
     plan.write_text(json.dumps({"pair": pair, "p": 2, "entries": entries}))
     assert main(["certify", str(good), str(good), str(plan)]) == 1
     assert "below the diagonal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pair, bad",
+    [
+        (HP, (1.0, 0.0)),  # below the diagonal
+        (HP, (0.0, 1.0, 2.0)),  # the wrong length
+        (HP, (0.0, float("inf"))),  # a non-finite coordinate
+        (HP, (float("nan"), 1.0)),
+        (BOX, (5.0, 1.0)),  # outside the box
+        (BOX, (1.0,)),
+        (BOX, (1.0, float("-inf"))),
+        (FIN, 3),  # an out-of-range finite index
+        (FIN, -1),
+    ],
+)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cost_matrix_still_validates(pair, bad, p):
+    good = {HP: (0.0, 1.0), BOX: (1.0, 1.0), FIN: 1}[pair]
+    for xs, ys in (([bad], [good]), ([good], [bad]), ([good, bad], [])):
+        with pytest.raises(InvalidPointError):
+            pair.cost_matrix(xs, ys, p)
