@@ -41,7 +41,7 @@ class MissingPotentialError(PartialOTError):
 
 
 class OracleSizeError(PartialOTError):
-    """An instance exceeds the brute-force oracle's enumeration bounds."""
+    """An instance exceeds the oracle's size bound."""
 
 
 class MalformedFileError(PartialOTError):

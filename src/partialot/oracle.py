@@ -1,199 +1,166 @@
-"""Independent brute-force computation of Wb_p and d_p on tiny instances.
+"""An independent exact reference for Wb_p and d_p.
 
-Both oracles use per-point boundary copies: the source side is augmented
-with the projections of the sink points and vice versa, giving a square
-block cost matrix
+:func:`brute_force_wb` solves the partial transport problem in its
+per-point-copy form: a balanced transportation problem whose rows are the
+source atoms and then one copy of A per sink atom, and whose columns are the
+sink atoms and then one copy of A per source atom,
 
-    [ d(x_i, y_j)^p          d(x_i, proj(x_k))^p ]
-    [ d(proj(y_l), y_j)^p    0                   ]
+    [ d(x_i, y_j)^p    d(x_i, A)^p ]
+    [ d(y_l, A)^p      0           ]
 
-:func:`brute_force_diagram` minimises over all permutations of this matrix;
-:func:`brute_force_wb` enumerates every integral flow matrix after scaling
-rational masses to integers.  This is deliberately a different formulation
-and a different enumeration than the solver's aggregated-boundary simplex,
-so the two validate each other.  Being fast is a non-goal.
+where each copy of A carries the mass of the atom it stands for.  Masses and
+flows are exact Fractions, and each cell is the pair's one-cell view of
+``cost_matrix`` (``cost_cell`` or ``boundary_cell``).  Successive shortest
+paths (Tomizawa 1971; Edmonds and Karp 1972), each found by a dense
+Dijkstra on reduced costs, give the exact optimum Wb_p^p.
+:func:`brute_force_diagram` runs the same solver on the unit-mass measures
+of two diagrams, whose flows are integral, and reads it as a matching.
+
+The oracle shares only each pair's cell formulas with the solver.  Its
+formulation (per-point copies, no aggregated boundary node), its algorithm
+(shortest paths, not the simplex), its mass handling (no common scale, no
+perturbation) and its rounding are its own, so the two check each other.
+Being fast is a non-goal: ``MAX_MATCH_POINTS`` bounds the atoms per instance.
 """
 
-import math
 from fractions import Fraction
-from itertools import permutations
 from typing import NamedTuple
 
-from .errors import OracleSizeError, PairMismatchError, check_exponent
-from .measures import DiscreteMeasure, PersistenceDiagram
+from .errors import FloatRangeError, OracleSizeError, PairMismatchError, check_exponent
+from .measures import DiscreteMeasure, PersistenceDiagram, diagram_to_measure
 
-#: Hard ceiling on points per brute-force matching instance.
-MAX_MATCH_POINTS = 8
-#: Node budget for the integral-flow enumeration.
-MAX_ENUM_NODES = 1_000_000
-#: Largest accepted common denominator when scaling masses to integers.
-MAX_MASS_DENOMINATOR = 1 << 20
+#: Hard ceiling on the atoms (or distinct diagram points) of both sides together.
+MAX_MATCH_POINTS = 64
 
 
 class OracleResult(NamedTuple):
-    """Enumerated minimum cost (the p-th power value) and a witness routing.
+    """The exact optimum Wb_p^p (or d_p^p), its float, and a witness routing.
 
-    The witness is a tuple of (source, target, mass) moves achieving the
-    value; zero-cost boundary-to-boundary padding is omitted.
+    ``value`` is ``float(exact)``.  The witness is a tuple of moves achieving
+    ``exact``; zero-cost moves along A are omitted.
     """
 
     value: float
     witness: tuple
+    exact: Fraction
 
 
-def _block_matrix(pair, xs, ys, p):
-    """The square per-point-copy cost matrix for points xs vs ys."""
-    m, n = len(xs), len(ys)
-    projs_x = [pair.project_A(x) for x in xs]
-    projs_y = [pair.project_A(y) for y in ys]
-    size = m + n
-    c = [[0.0] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(n):
-            c[i][j] = pair.distance(xs[i], ys[j]) ** p
-        for k in range(m):
-            c[i][n + k] = pair.distance(xs[i], projs_x[k]) ** p
-    for l in range(n):
-        for j in range(n):
-            c[m + l][j] = pair.distance(projs_y[l], ys[j]) ** p
-        # bottom-right block stays 0: moving along A is free
-    return c, projs_x, projs_y
+def _min_cost_flow(supply, demand, cost) -> dict:
+    """An optimal flow ``{(row, column): mass}`` of a balanced transportation problem.
 
-
-def brute_force_diagram(sigma: PersistenceDiagram, tau: PersistenceDiagram, p) -> OracleResult:
-    """Minimise the matching cost over all permutations of the augmented multisets.
-
-    Requires |sigma| + |tau| <= 8.  The value is the p-th power cost, so the
-    diagram distance is value ** (1/p).
+    Each round runs Dijkstra on reduced costs from every row with supply
+    left, over forward arcs (row to column) and backward arcs (column to
+    row, on cells carrying flow), up to the nearest column with demand left,
+    and ships along that path the most mass it allows.  Nodes are the rows,
+    then the columns; the potentials keep every reduced cost >= 0.
     """
-    if sigma.pair != tau.pair:
-        raise PairMismatchError("diagrams live on different metric pairs")
-    p = check_exponent(p)
-    xs, ys = list(sigma.points), list(tau.points)
-    m, n = len(xs), len(ys)
-    if m + n > MAX_MATCH_POINTS:
-        raise OracleSizeError(f"{m}+{n} points exceed the enumeration bound {MAX_MATCH_POINTS}")
-    if m + n == 0:
-        return OracleResult(0.0, ())
-
-    c, projs_x, projs_y = _block_matrix(sigma.pair, xs, ys, p)
-    size = m + n
-    best = math.inf
-    best_perm = None
-    for perm in permutations(range(size)):
-        total = 0.0
-        for i in range(size):
-            total += c[i][perm[i]]
-        if total < best:
-            best = total
-            best_perm = perm
-
-    witness = []
-    for i in range(size):
-        j = best_perm[i]
-        if i < m and j < n:
-            witness.append(("match", xs[i], ys[j]))
-        elif i < m:
-            witness.append(("delete", xs[i], projs_x[j - n]))
-        elif j < n:
-            witness.append(("insert", projs_y[i - m], ys[j]))
-    return OracleResult(best, tuple(witness))
-
-
-def _scaled_integer_masses(masses):
-    fracs = [Fraction(m) for m in masses]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // math.gcd(scale, f.denominator)
-        if scale > MAX_MASS_DENOMINATOR:
-            raise OracleSizeError(
-                "masses are not small rationals; integral enumeration is infeasible"
-            )
-    return [int(f * scale) for f in fracs], scale
+    rows, nodes = len(supply), len(supply) + len(demand)
+    supply, demand, flow, pot = list(supply), list(demand), {}, [0] * nodes
+    while any(supply):
+        dist = [0 if s else None for s in supply] + [None] * len(demand)
+        prev, done = [None] * nodes, [False] * nodes
+        while True:
+            u = min((k for k in range(nodes) if dist[k] is not None and not done[k]),
+                    key=dist.__getitem__)
+            done[u] = True
+            if u >= rows and demand[u - rows]:
+                break
+            if u < rows:
+                arcs = [(rows + j, c) for j, c in enumerate(cost[u])]
+            else:
+                arcs = [(i, -cost[i][u - rows]) for i in range(rows) if (i, u - rows) in flow]
+            for w, c in arcs:
+                d = dist[u] + c + pot[u] - pot[w]
+                if not done[w] and (dist[w] is None or d < dist[w]):
+                    dist[w], prev[w] = d, u
+        # Each node moves by its distance, capped at the target's: reduced costs stay >= 0.
+        top = dist[u]
+        pot = [q + (top if d is None else min(d, top)) for q, d in zip(pot, dist)]
+        path, w = [], u
+        while prev[w] is not None:
+            a = prev[w]
+            path.append(((a, w - rows), 1) if a < rows else ((w, a - rows), -1))
+            w = a
+        delta = min([supply[w], demand[u - rows]] + [flow[cell] for cell, s in path if s < 0])
+        for cell, s in path:
+            flow[cell] = flow.get(cell, 0) + s * delta
+            if not flow[cell]:
+                del flow[cell]
+        supply[w] -= delta
+        demand[u - rows] -= delta
+    return flow
 
 
-def brute_force_wb(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> OracleResult:
-    """Exact minimum over all integral flows of the per-point-copy problem.
+def _result(exact: Fraction, witness: tuple) -> OracleResult:
+    try:
+        return OracleResult(float(exact), witness, exact)
+    except OverflowError as exc:
+        raise FloatRangeError(f"value out of the float range: {exc}") from exc
 
-    Masses must be small rationals (after exact scaling the flows are
-    integers, and every vertex of the transportation polytope is integral,
-    so the integral minimum is the true optimum).  Raises
-    :class:`OracleSizeError` when the instance exceeds the point bound or
-    the enumeration budget.
-    """
+
+def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> tuple:
+    """``(exact optimum, {(i, j): mass})``, where ``i == m`` or ``j == n`` stands for A."""
     if mu.pair != nu.pair:
         raise PairMismatchError("measures live on different metric pairs")
     p = check_exponent(p)
-    pair = mu.pair
-    xs = [pt for pt, _ in mu.atoms]
-    ys = [pt for pt, _ in nu.atoms]
+    pair, xs, ys = mu.pair, [x for x, _ in mu.atoms], [y for y, _ in nu.atoms]
+    a, b = [Fraction(w) for _, w in mu.atoms], [Fraction(w) for _, w in nu.atoms]
     m, n = len(xs), len(ys)
     if m + n > MAX_MATCH_POINTS:
-        raise OracleSizeError(f"{m}+{n} atoms exceed the enumeration bound {MAX_MATCH_POINTS}")
-    if m + n == 0:
-        return OracleResult(0.0, ())
+        raise OracleSizeError(f"{m}+{n} atoms exceed the oracle bound {MAX_MATCH_POINTS}")
+    # Rows: sources, then one copy of A per sink; columns: sinks, then one copy per source.
+    from_A = [pair.boundary_cell(y, p) for y in ys]
+    cost = [[pair.cost_cell(x, y, p) for y in ys] + [pair.boundary_cell(x, p)] * m for x in xs]
+    cost += [from_A + [Fraction(0)] * m for _ in ys]
+    flow = _min_cost_flow(a + b, b + a, cost)
+    moves = {}
+    for (i, j), f in flow.items():
+        key = (min(i, m), min(j, n))
+        if key != (m, n):
+            moves[key] = moves.get(key, 0) + f
+    return sum((f * cost[i][j] for (i, j), f in flow.items()), Fraction(0)), moves
 
-    c, projs_x, projs_y = _block_matrix(pair, xs, ys, p)
-    masses = [mass for _, mass in mu.atoms] + [mass for _, mass in nu.atoms]
-    scaled, scale = _scaled_integer_masses(masses)
-    # Row supplies: source atoms then sink projections; column demands:
-    # sink atoms then source projections.  Both sides sum to the same total.
-    supplies = scaled[:m] + scaled[m:]
-    demands = scaled[m:] + scaled[:m]
-    size = m + n
 
-    best_cost = [math.inf]
-    best_matrix = [None]
-    nodes = [0]
-    current = [[0] * size for _ in range(size)]
-    col_rem = list(demands)
+def brute_force_wb(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> OracleResult:
+    """The exact optimum Wb_p^p and a plan achieving it, as (source, target, mass) moves.
 
-    # Admissible lower bounds: unplaced mass of row i can cost no less than
-    # the row's suffix minimum, and later rows no less than their row minima.
-    suffix_min = [
-        [min(c[i][j:]) for j in range(size)] + [0.0] for i in range(size)
-    ]
-    tail_min = [0.0] * (size + 1)
-    for i in range(size - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + supplies[i] * suffix_min[i][0]
+    Any finite positive masses are accepted; boundary moves go to or from
+    the atom's nearest point of A.  Raises :class:`OracleSizeError` beyond
+    ``MAX_MATCH_POINTS`` atoms, and :class:`FloatRangeError` when the
+    optimum lies beyond the float range.
+    """
+    exact, moves = _optimum(mu, nu, p)
+    pair, m, n = mu.pair, len(mu.atoms), len(nu.atoms)
+    witness = tuple(
+        (
+            mu.atoms[i][0] if i < m else pair.project_A(nu.atoms[j][0]),
+            nu.atoms[j][0] if j < n else pair.project_A(mu.atoms[i][0]),
+            float(f),
+        )
+        for (i, j), f in sorted(moves.items())
+    )
+    return _result(exact, witness)
 
-    def descend(i, j, row_rem, partial):
-        nodes[0] += 1
-        if nodes[0] > MAX_ENUM_NODES:
-            raise OracleSizeError("integral-flow enumeration budget exceeded")
-        if i == size:
-            if partial < best_cost[0]:
-                best_cost[0] = partial
-                best_matrix[0] = [row[:] for row in current]
-            return
-        if partial + row_rem * suffix_min[i][j] + tail_min[i + 1] >= best_cost[0]:
-            return
-        if j == size - 1:
-            if row_rem > col_rem[j]:
-                return
-            current[i][j] = row_rem
-            col_rem[j] -= row_rem
-            descend(i + 1, 0, supplies[i + 1] if i + 1 < size else 0, partial + row_rem * c[i][j])
-            col_rem[j] += row_rem
-            current[i][j] = 0
-            return
-        for f in range(min(row_rem, col_rem[j]) + 1):
-            current[i][j] = f
-            col_rem[j] -= f
-            descend(i, j + 1, row_rem - f, partial + f * c[i][j])
-            col_rem[j] += f
-        current[i][j] = 0
 
-    descend(0, 0, supplies[0], 0.0)
+def brute_force_diagram(sigma: PersistenceDiagram, tau: PersistenceDiagram, p) -> OracleResult:
+    """The optimal matching of two diagrams: the oracle on their unit-mass measures.
 
-    value = best_cost[0] / scale
+    The flows are integral, so the witness lists one ``("match", x, y)``,
+    ``("delete", x, proj x)`` or ``("insert", proj y, y)`` per unit.  The
+    value is the p-th power cost, so the diagram distance is value ** (1/p).
+    """
+    if sigma.pair != tau.pair:
+        raise PairMismatchError("diagrams live on different metric pairs")
+    mu, nu = diagram_to_measure(sigma), diagram_to_measure(tau)
+    exact, moves = _optimum(mu, nu, p)
+    pair, m, n = sigma.pair, len(mu.atoms), len(nu.atoms)
     witness = []
-    for i in range(size):
-        for j in range(size):
-            f = best_matrix[0][i][j]
-            if f == 0 or (i >= m and j >= n):
-                continue
-            src = xs[i] if i < m else projs_y[i - m]
-            dst = ys[j] if j < n else projs_x[j - n]
-            witness.append((src, dst, f / scale))
-    return OracleResult(value, tuple(witness))
+    for (i, j), f in sorted(moves.items()):
+        if i < m and j < n:
+            move = ("match", mu.atoms[i][0], nu.atoms[j][0])
+        elif i < m:
+            move = ("delete", mu.atoms[i][0], pair.project_A(mu.atoms[i][0]))
+        else:
+            move = ("insert", pair.project_A(nu.atoms[j][0]), nu.atoms[j][0])
+        witness += [move] * int(f)
+    return _result(exact, tuple(witness))

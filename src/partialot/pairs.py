@@ -10,7 +10,7 @@ concrete catalogue used by the rest of the package:
 * :class:`EuclideanBoxPair`: an axis-aligned box with its topological
   boundary,
 * :class:`FinitePair`: an explicit finite metric space with a designated
-  index subset, used for exhaustive oracles.
+  index subset.
 
 The Euclidean pairs are convex, hence geodesic; the finite pair is not.
 Points are plain tuples of floats for the Euclidean pairs and integer

@@ -53,13 +53,9 @@ def new_plan(pair, entries, p) -> TransportPlan:
     """
     p = check_exponent(p)
     validate = pair.validate_point
-    return _plan(pair, ((validate(s), validate(d), m) for s, d, m in entries), p)
-
-
-def _plan(pair, entries, p: float) -> TransportPlan:
-    """:func:`new_plan` on validated endpoints and a checked exponent."""
     checked = []
     for src, dst, mass in entries:
+        src, dst = validate(src), validate(dst)
         mass = _positive_mass(mass, "entry {!r} -> {!r}", src, dst)
         if pair._in_A(src) and pair._in_A(dst):
             raise ValueError(f"entry {src!r} -> {dst!r} is supported on A x A")

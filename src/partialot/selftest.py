@@ -12,6 +12,7 @@ import functools
 import math
 import random
 import time
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import certify
@@ -35,7 +36,7 @@ from .measures import (
 from .oracle import brute_force_diagram, brute_force_wb
 from .pairs import EuclideanBoxPair, HalfPlanePair
 from .plans import compose, cost as plan_cost, glue, new_plan, projection_12, projection_23
-from .solver import diagram_distance, solve, wb_distance
+from .solver import solve, solve_detail, wb_distance
 
 DEFAULT_SEED = 20260811
 
@@ -140,26 +141,22 @@ def _criterion(number, name, **quick):
 
 @_criterion(1, "oracle-equivalence", count=50)
 def criterion_oracle_equivalence(seed=DEFAULT_SEED, count=500):
-    """Solver agrees with the brute-force oracle on small unit-mass instances."""
-    worst = 0.0
+    """The solver's exact Wb_p^p equals the oracle's on small unit-mass instances."""
+    worst = Fraction(0)
     for mu, nu, p in _oracle_instances(seed, count):
-        got = solve(mu, nu, p).wb ** p
-        want = brute_force_wb(mu, nu, p).value
-        worst = max(worst, abs(got - want))
-    return worst, worst <= 1e-9, f"{count} instances"
+        got = solve_detail(mu, nu, p).wb_p_exact
+        worst = max(worst, abs(got - brute_force_wb(mu, nu, p).exact))
+    return float(worst), worst == 0, f"{count} instances"
 
 
 @_criterion(2, "diagram-embedding", count=20)
 def criterion_embedding(seed=DEFAULT_SEED, count=200):
-    """Diagram distance equals Wb_p on embedded measures and the oracle value."""
-    worst = 0.0
+    """The exact d_p^p of the embedded diagrams equals the oracle's optimal matching cost."""
+    worst = Fraction(0)
     for sigma, tau, p in _diagram_instances(seed, count):
-        dp, _ = diagram_distance(sigma, tau, p)
-        via_measures = solve(diagram_to_measure(sigma), diagram_to_measure(tau), p).wb
-        worst = max(worst, abs(dp - via_measures))
-        want = brute_force_diagram(sigma, tau, p).value
-        worst = max(worst, abs(dp ** p - want))
-    return worst, worst <= 1e-9, f"{count} diagram pairs"
+        got = solve_detail(diagram_to_measure(sigma), diagram_to_measure(tau), p).wb_p_exact
+        worst = max(worst, abs(got - brute_force_diagram(sigma, tau, p).exact))
+    return float(worst), worst == 0, f"{count} diagram pairs"
 
 
 @_criterion(3, "metric-axioms", count=20)

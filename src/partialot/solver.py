@@ -20,7 +20,8 @@ and dual potentials that vanish on A after normalisation.
 One private step finds the exact optimum and Wb_p; each entry point then
 reads only what it returns from it.  :func:`wb_distance` reads nothing
 more, :func:`diagram_distance` the plan, :func:`solve` the plan and the
-duals, and :func:`solve_detail` also whether the optimum is degenerate.
+duals, and :func:`solve_detail` also whether the optimum is degenerate and
+the exact optimum Wb_p^p as a ``Fraction``.
 The atoms were validated when the measures were built, so no step here
 validates them again.
 """
@@ -31,10 +32,12 @@ from typing import NamedTuple
 
 from ._simplex import solve_transportation
 from .certify import _concentration
-from .errors import FloatRangeError, PairMismatchError, check_exponent, check_tol
+from .errors import (
+    FloatRangeError, NonPositiveMassError, PairMismatchError, check_exponent, check_tol,
+)
 from .measures import DiscreteMeasure, PersistenceDiagram, diagram_to_measure
 # new_plan stays importable here: the benchmark's tracer wraps it by this name.
-from .plans import TransportPlan, _plan, new_plan  # noqa: F401
+from .plans import TransportPlan, new_plan  # noqa: F401
 
 
 def _rounded(num: int, scale: int) -> float:
@@ -112,6 +115,7 @@ class SolveDetail(NamedTuple):
     # True iff a non-basic cell has reduced cost 0 under the returned duals:
     # other optimal plans may exist.  False proves this plan the only optimum.
     degenerate: bool
+    wb_p_exact: Fraction  # the optimum Wb_p^p before rounding
 
 
 def _require_same_pair(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -149,6 +153,7 @@ class _Optimum(NamedTuple):
     v: list  # int column potentials over problem.scale
     alt: int  # non-basic cells of reduced cost 0
     mass_scale: int
+    total: int  # the optimum Wb_p^p over mass_scale * problem.scale
 
 
 def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _Optimum:
@@ -178,7 +183,7 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _Optimum:
     wb_p = _rounded(total, mass_scale * problem.scale)
     if total > 0 and wb_p == 0.0:
         raise FloatRangeError("value out of the float range: the optimum Wb_p^p > 0 underflows")
-    return _Optimum(wb_p ** (1.0 / p), problem, flows, u, v, alt, mass_scale)
+    return _Optimum(wb_p ** (1.0 / p), problem, flows, u, v, alt, mass_scale, total)
 
 
 def _duals(opt: _Optimum) -> DualPotentials:
@@ -197,23 +202,34 @@ def _duals(opt: _Optimum) -> DualPotentials:
 
 
 def _plan_of(pair, opt: _Optimum, p: float) -> TransportPlan:
-    """The optimum's flows as a plan, boundary flows sent to nearest points of A."""
+    """The optimum's flows as a plan, boundary flows sent to nearest points of A.
+
+    The plan is built straight from the basis, without ``new_plan``'s checks,
+    because the basis already meets them: its cells are distinct, so no two
+    entries share both endpoints; each endpoint is a validated atom or an
+    atom's projection onto A; and atoms lie off A, so no entry lies on A x A.
+    Only a flow too small for a float is refused.
+    """
     sources, sinks, mass_scale = opt.problem.sources, opt.problem.sinks, opt.mass_scale
     m, n = len(sources), len(sinks)
-    # The atoms were validated when the measures were built, so the plan is
-    # built from them without validating.
     entries = []
     for (i, j), f in opt.flows.items():
         if i < m and j < n:
-            entries.append((sources[i][0], sinks[j][0], f / mass_scale))
+            entry = (sources[i][0], sinks[j][0], f / mass_scale)
         elif i < m:
             x = sources[i][0]
-            entries.append((x, pair._project_A(x), f / mass_scale))
+            entry = (x, pair._project_A(x), f / mass_scale)
         elif j < n:
             y = sinks[j][0]
-            entries.append((pair._project_A(y), y, f / mass_scale))
-        # boundary-to-boundary slack is dropped
-    return _plan(pair, entries, p)
+            entry = (pair._project_A(y), y, f / mass_scale)
+        else:
+            continue  # boundary-to-boundary slack is dropped
+        if entry[2] == 0.0:
+            src, dst, _ = entry
+            raise NonPositiveMassError(f"entry {src!r} -> {dst!r} has non-positive mass 0.0")
+        entries.append(entry)
+    entries.sort()  # by (source, target), which no two entries share
+    return TransportPlan(pair, tuple(entries), p)
 
 
 def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
@@ -225,7 +241,8 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     p = check_exponent(p)
     opt = _optimum(mu, nu, p)
     duals = _duals(opt)
-    return SolveDetail(opt.wb, _plan_of(mu.pair, opt, p), duals, opt.alt > 0)
+    exact = Fraction(opt.total, opt.mass_scale * opt.problem.scale)
+    return SolveDetail(opt.wb, _plan_of(mu.pair, opt, p), duals, opt.alt > 0, exact)
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveResult:

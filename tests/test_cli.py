@@ -56,16 +56,42 @@ def test_dist_oracle_flag(measures, capsys):
     assert "agreement ok" in out
 
 
-def test_dist_oracle_agreement_is_relative(tmp_path, capsys):
-    # Wb_3^3 is about 4e7 here, so floats carry an absolute gap above 1e-9.
+def test_dist_oracle_agreement_is_exact(tmp_path, capsys):
+    # Wb_3^3 is about 4e7 here: the exact optima agree with no gap at all.
     a = tmp_path / "a.measure"
     b = tmp_path / "b.measure"
     pot_io.save_measure(new_measure(HP, [((1645.0, 3126.0), 1.0)]), a)
     pot_io.save_measure(new_measure(HP, [((1761.0, 2804.0), 1.0)]), b)
     assert main(["dist", "--p", "3", "--oracle", "--format", "machine", str(a), str(b)]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["agree"] and record["oracle_gap"] > 1e-9
-    assert record["oracle_gap"] <= 1e-9 * (1.0 + record["oracle"])
+    assert record["agree"] and record["oracle_gap"] == 0.0
+
+
+def test_dist_oracle_catches_a_doubled_answer_at_small_scale(tmp_path, capsys, monkeypatch):
+    # At 2^-40 Wb_2^2 is about 2^-80, far below any absolute or 1 + x tolerance.
+    lam = 2.0**-40
+    a = tmp_path / "a.measure"
+    b = tmp_path / "b.measure"
+    pot_io.save_measure(new_measure(HP, [((0, lam), 1.0), ((2 * lam, 6 * lam), 2.0)]), a)
+    pot_io.save_measure(new_measure(HP, [((0, 3 * lam), 1.5), ((lam, 2 * lam), 0.5)]), b)
+    real = partialot.solver.solve_transportation
+
+    def doubled(supply, demand, cost):
+        flows, u, v, alt = real(supply, demand, cost)
+        return {cell: 2 * f for cell, f in flows.items()}, u, v, alt
+
+    monkeypatch.setattr(partialot.solver, "solve_transportation", doubled)
+    assert main(["dist", "--p", "2", "--oracle", str(a), str(b)]) == 2
+    assert "ORACLE MISMATCH" in capsys.readouterr().out
+
+
+def test_dist_oracle_takes_any_float_masses(tmp_path, capsys):
+    a = tmp_path / "a.measure"
+    b = tmp_path / "b.measure"
+    pot_io.save_measure(new_measure(HP, [((0, 1), 0.1), ((2, 6), 0.3)]), a)
+    pot_io.save_measure(new_measure(HP, [((0, 3), 0.7)]), b)
+    assert main(["dist", "--p", "2", "--oracle", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "agreement ok"
 
 
 def test_dist_machine_format_deterministic(measures, capsys):

@@ -4,7 +4,9 @@
 its value and plan; neither builds the potentials ``solve_detail`` returns.
 What they do return must be exactly what ``solve_detail`` gives, on all
 three pairs, and ``diagram_to_measure``'s runs of sorted points must be the
-atoms that merging by point and sorting again would give.
+atoms that merging by point and sorting again would give.  The solver builds
+its plans without ``new_plan``'s checks, so they must be what ``new_plan``
+makes of the same entries; and its exact optimum must be the oracle's.
 """
 
 import pytest
@@ -18,10 +20,12 @@ from partialot import (  # noqa: E402
     EuclideanBoxPair,
     FinitePair,
     HalfPlanePair,
+    brute_force_wb,
     diagram_distance,
     diagram_to_measure,
     new_diagram,
     new_measure,
+    new_plan,
     solve_detail,
     wb_distance,
 )
@@ -107,3 +111,19 @@ def test_diagram_to_measure_is_the_merged_and_sorted_form(diagrams):
         got = diagram_to_measure(sigma)
         assert got.pair == merged.pair
         assert _bits(got.atoms) == _bits(merged.atoms)
+
+
+_embedded_diagrams = _diagram_pair().map(lambda diagrams: tuple(map(diagram_to_measure, diagrams)))
+
+
+@given(st.one_of(_measure_pair(), _embedded_diagrams), _p)
+def test_solver_plan_is_new_plan_on_its_entries(measures, p):
+    plan = solve_detail(*measures, p).plan
+    again = new_plan(plan.pair, plan.entries, p)
+    assert _bits(plan.entries) == _bits(again.entries)
+    assert (plan.pair, plan.p) == (again.pair, again.p)
+
+
+@given(_measure_pair(), _p)
+def test_oracle_optimum_is_the_solver_optimum(measures, p):
+    assert brute_force_wb(*measures, p).exact == solve_detail(*measures, p).wb_p_exact

@@ -36,7 +36,7 @@ _FIELDS = {
     ),
     GeodesicPath: ("plan", "pair", "p", "length", "mu0", "mu1"),
     BranchProbeReport: ("t0", "map_induced", "endpoint_reproduced", "degenerate", "dropped_mass"),
-    OracleResult: ("value", "witness"),
+    OracleResult: ("value", "witness", "exact"),
     CriterionResult: ("number", "name", "passed", "worst", "detail", "seconds"),
 }
 

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from partialot import (
+    DiscreteMeasure,
     EuclideanBoxPair,
     FinitePair,
     FloatRangeError,
     HalfPlanePair,
+    NonPositiveMassError,
     PairMismatchError,
     PartialOTError,
     build_augmented_problem,
@@ -286,6 +288,15 @@ def test_only_returned_values_raise_float_range_errors():
     dp, plan = diagram_distance(sigma, tau, 2)
     assert dp == 1.0
     assert plan.entries == (((0.0, 2.0**700), (1.0, 2.0**700), 1.0),)
+
+
+def test_a_flow_that_rounds_to_zero_is_refused():
+    # A raw-constructor Fraction mass of 3^-700 puts the masses on a scale
+    # past 2^1074, so its flow rounds to 0.0: the plan refuses that entry.
+    mu = DiscreteMeasure(HP, (((0.0, 1.0), 1.0), ((0.0, 2.0), Fraction(1, 3**700))))
+    with pytest.raises(NonPositiveMassError, match=r"\(0\.0, 2\.0\) -> .* non-positive mass 0\.0"):
+        solve(mu, zero_measure(HP), 2)
+    assert wb_distance(mu, zero_measure(HP), 2) == 0.5**0.5
 
 
 def test_cost_underflow_is_a_float_range_error():
