@@ -42,6 +42,7 @@ from .errors import (
     check_tol,
 )
 from .measures import DiscreteMeasure, measures_close
+from .pairs import _dyadic
 from .plans import TransportPlan, marginals
 
 
@@ -216,13 +217,6 @@ def _monotonicity(cells, support) -> float:
     return _rounded_up(base - sum(cells[i][j] for i, j in given), base)
 
 
-def _dyadic(values, bits: int = 0) -> tuple:
-    """Finite floats as ints over one power of two: (ints, k), value = int / 2^k, k >= bits."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    k = max([bits] + [d.bit_length() - 1 for _, d in ratios])
-    return [n << (k + 1 - d.bit_length()) for n, d in ratios], k
-
-
 def _one_ulp_box(cells, scale: int, support, phi, psi):
     """The float potentials and the cells on one int scale, and exact potentials near them.
 
@@ -232,12 +226,13 @@ def _one_ulp_box(cells, scale: int, support, phi, psi):
     cell and tight on the support, or None when there are none.  Float rounding moves exact potentials by less than an
     ulp, so a plan certified by exact potentials has them in this box.
     """
-    if not all(math.isfinite(v) for v in phi + psi):
+    floats = phi + psi
+    if not all(map(math.isfinite, floats)):
         return None
-    m, n = len(phi), len(psi)
-    bits = scale.bit_length() - 1
-    values, k = _dyadic(phi + psi + [math.ulp(v) for v in phi + psi], bits)
-    phi, psi, ulps = values[:m], values[m : m + n], values[m + n :]
+    m, bits = len(phi), scale.bit_length() - 1
+    rows = [[float(v).as_integer_ratio() for v in row] for row in (floats, map(math.ulp, floats))]
+    (values, ulps), k = _dyadic(rows, bits)
+    phi, psi = values[:m], values[m:]
     cells = [[c << (k - bits) for c in row] for row in cells]
     tight, _ = _tight_potentials(
         cells,
@@ -354,7 +349,7 @@ def _duality_gap(plan: TransportPlan, box, support) -> float:
         return math.inf
     tight, cells, phi, psi = box
     m, n = len(phi), len(psi)
-    masses, _ = _dyadic([mass for _, _, mass in plan.entries])
+    (masses,), _ = _dyadic([[float(mass).as_integer_ratio() for _, _, mass in plan.entries]])
     cost = 0
     row_flow, col_flow = [0] * (m + 1), [0] * (n + 1)
     for (i, j), mass in zip(support, masses):

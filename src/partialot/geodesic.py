@@ -50,10 +50,11 @@ def interpolate_detail(path: GeodesicPath, t):
     """Interpolant at time t plus the mass dropped onto A.
 
     Every plan entry contributes an atom at the segment point; atoms on A
-    (``pair.in_A``) are removed (the restriction to Omega), which only
-    happens for boundary edges at their endpoints.  The plan's endpoints
-    are already validated; each segment point is validated once.  A dropped
-    mass beyond the float range raises :class:`FloatRangeError`.
+    are removed (the restriction to Omega), which only happens for boundary
+    edges at their endpoints.  The plan's endpoints are already validated,
+    and a geodesic point of two points of X lies in X, so no segment point
+    is validated again.  A dropped mass beyond the float range raises
+    :class:`FloatRangeError`.
     """
     t = _check_t(t)
     pair = path.pair
@@ -61,7 +62,7 @@ def interpolate_detail(path: GeodesicPath, t):
     dropped = []
     for x, y, m in path.plan.entries:
         pt = pair._geo_point(x, y, t)
-        if pair.in_A(pt):
+        if pair._in_A(pt):
             dropped.append(m)
         else:
             kept.append((pt, m))

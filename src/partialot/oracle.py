@@ -8,11 +8,12 @@ sink atoms and then one copy of A per source atom,
     [ d(x_i, y_j)^p    d(x_i, A)^p ]
     [ d(y_l, A)^p      0           ]
 
-where each copy of A carries the mass of the atom it stands for.  Masses and
-flows are exact Fractions, and each cell is the pair's one-cell view of
-``cost_matrix`` (``cost_cell`` or ``boundary_cell``).  Successive shortest
-paths (Tomizawa 1971; Edmonds and Karp 1972), each found by a dense
-Dijkstra on reduced costs, give the exact optimum Wb_p^p.
+where each copy of A carries the mass of the atom it stands for.  Every cell
+is read from one ``cost_matrix`` pass over the measures' validated atoms, so
+the costs are ints on one power-of-two scale; the masses share no scale and
+stay exact Fractions, as do the flows.  Successive shortest paths (Tomizawa 1971; Edmonds and Karp
+1972), each found by a dense Dijkstra on the int reduced costs, give the
+exact optimum Wb_p^p: the total of flow times int cost, over that scale.
 :func:`brute_force_diagram` runs the same solver on the unit-mass measures
 of two diagrams, whose flows are integral, and reads it as a matching.
 
@@ -30,7 +31,7 @@ from .errors import FloatRangeError, OracleSizeError, PairMismatchError, check_e
 from .measures import DiscreteMeasure, PersistenceDiagram, diagram_to_measure
 
 #: Hard ceiling on the atoms (or distinct diagram points) of both sides together.
-MAX_MATCH_POINTS = 64
+MAX_MATCH_POINTS = 160
 
 
 class OracleResult(NamedTuple):
@@ -108,17 +109,17 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> tuple:
     m, n = len(xs), len(ys)
     if m + n > MAX_MATCH_POINTS:
         raise OracleSizeError(f"{m}+{n} atoms exceed the oracle bound {MAX_MATCH_POINTS}")
+    cells, scale = pair._cost_matrix(xs, ys, p)
     # Rows: sources, then one copy of A per sink; columns: sinks, then one copy per source.
-    from_A = [pair.boundary_cell(y, p) for y in ys]
-    cost = [[pair.cost_cell(x, y, p) for y in ys] + [pair.boundary_cell(x, p)] * m for x in xs]
-    cost += [from_A + [Fraction(0)] * m for _ in ys]
+    cost = [row[:n] + [row[n]] * m for row in cells[:m]]
+    cost += [cells[m][:n] + [0] * m for _ in ys]
     flow = _min_cost_flow(a + b, b + a, cost)
     moves = {}
     for (i, j), f in flow.items():
         key = (min(i, m), min(j, n))
         if key != (m, n):
             moves[key] = moves.get(key, 0) + f
-    return sum((f * cost[i][j] for (i, j), f in flow.items()), Fraction(0)), moves
+    return sum((f * cost[i][j] for (i, j), f in flow.items()), Fraction(0)) / scale, moves
 
 
 def brute_force_wb(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> OracleResult:

@@ -131,7 +131,8 @@ class MetricPair:
         if any((0, 1) in row for row in rows):
             self._check_underflow(xs, ys, p, rows)
         rows[-1].append((0, 1))
-        return _on_one_scale(rows)
+        cells, k = _dyadic(rows)
+        return cells, 1 << k
 
     def _check_underflow(self, xs, ys, p, rows):
         dists = [[self._distance(x, y) for y in ys] + [self._dist_to_A(x)] for x in xs]
@@ -155,20 +156,13 @@ class MetricPair:
         raise NotImplementedError
 
 
-def _on_one_scale(rows) -> tuple:
-    """Rows of dyadic ratios (n, 2^e) as ints over their largest denominator."""
-    bits = max(d.bit_length() for row in rows for _, d in row)
-    return [[n << (bits - d.bit_length()) for n, d in row] for row in rows], 1 << (bits - 1)
+def _dyadic(rows, k: int = 0) -> tuple:
+    """Rows of dyadic ratios (n, 2^e) as ints over 2^k, for the least k at or above the given one.
 
-
-def _on_one_grid(groups) -> tuple:
-    """Groups of float points as int points on one grid of step 2^-k, and k."""
-    ratios = [[[c.as_integer_ratio() for c in pt] for pt in group] for group in groups]
-    bits = max((d.bit_length() for group in ratios for pt in group for _, d in pt), default=1)
-    grid = [
-        [[n << (bits - d.bit_length()) for n, d in pt] for pt in group] for group in ratios
-    ]
-    return grid, bits - 1
+    Each int over 2^k equals its ratio exactly; empty rows keep the given k.
+    """
+    k = max(k, max((d.bit_length() for row in rows for _, d in row), default=0) - 1)
+    return [[n << (k + 1 - d.bit_length()) for n, d in row] for row in rows], k
 
 
 def _as_coords(x, dim: int, pair: MetricPair) -> tuple:
@@ -234,7 +228,9 @@ class HalfPlanePair(MetricPair):
         """At p = 2 the exact squares |x - y|^2 and (b - a)^2 / 2 in int arithmetic."""
         if p != 2:
             return super()._cost_matrix(xs, ys, p)
-        (xs, ys), k = _on_one_grid((xs, ys))
+        m = len(xs)
+        grid, k = _dyadic([[c.as_integer_ratio() for c in pt] for pt in (*xs, *ys)])
+        xs, ys = grid[:m], grid[m:]
         # The scale 2^(2k + 1) takes the boundary's / 2, so direct cells double.
         rows = [
             [2 * ((xa - ya) ** 2 + (xb - yb) ** 2) for ya, yb in ys] + [(xb - xa) ** 2]
@@ -320,7 +316,9 @@ class EuclideanBoxPair(MetricPair):
         """At p = 2 the exact squares |x - y|^2 and d(x, A)^2 in int arithmetic."""
         if p != 2:
             return super()._cost_matrix(xs, ys, p)
-        (xs, ys, (lo, hi)), k = _on_one_grid((xs, ys, (self.lo, self.hi)))
+        m, points = len(xs), (*xs, *ys, self.lo, self.hi)
+        grid, k = _dyadic([[c.as_integer_ratio() for c in pt] for pt in points])
+        xs, ys, (lo, hi) = grid[:m], grid[m:-2], grid[-2:]
 
         def to_A(pt):
             return min(min(c - l, h - c) for c, l, h in zip(pt, lo, hi)) ** 2
@@ -419,7 +417,8 @@ class FinitePair(MetricPair):
         rows.append([self._dist_to_A(y).as_integer_ratio() for y in ys] + [(0, 1)])
         if k * max(v.bit_length() for row in rows for cell in row for v in cell) > _MAX_CELL_BITS:
             return super()._cost_matrix(xs, ys, p)
-        return _on_one_scale([[(n**k, q**k) for n, q in row] for row in rows])
+        cells, e = _dyadic([[(n**k, q**k) for n, q in row] for row in rows])
+        return cells, 1 << e
 
     def describe(self) -> dict:
         return {

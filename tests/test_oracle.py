@@ -2,7 +2,8 @@
 
 The oracle is checked against an exact permutation minimum kept in this
 file (a reference for the reference, on a few unit points), and then
-against the solver, exactly, on general float masses over the three pairs.
+against the solver, exactly, on general float masses over the three pairs,
+up to 30 atoms a side.
 """
 
 import random
@@ -186,3 +187,33 @@ def test_oracle_is_the_permutation_minimum(pair, p):
         assert brute_force_wb(mu, nu, p).exact == want
         if pair is HP:
             assert brute_force_diagram(new_diagram(xs), new_diagram(ys), p).exact == want
+
+
+def _random_finite_pair(rng, size):
+    """Shortest paths over random dyadic edge weights: a metric with exact float sums."""
+    d = [[0.0 if i == j else rng.randint(1, 64) / 16 for j in range(size)] for i in range(size)]
+    d = [[min(d[i][j], d[j][i]) for j in range(size)] for i in range(size)]
+    for k in range(size):
+        d = [[min(d[i][j], d[i][k] + d[k][j]) for j in range(size)] for i in range(size)]
+    return FinitePair(tuple(map(tuple, d)), frozenset(rng.sample(range(size), 3)))
+
+
+def _general_measure(rng, pair, points):
+    return new_measure(pair, [(pt, rng.uniform(0.01, 3.0)) for pt in points])
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("kind", ["half_plane", "box", "finite"])
+def test_oracle_is_the_solver_optimum_at_scale(kind, p):
+    rng = random.Random(f"{kind} at scale {p}")
+    if kind == "finite":
+        pair = _random_finite_pair(rng, 40)
+        off_A = [k for k in range(pair.size) if k not in pair.subset]
+        mu, nu = (_general_measure(rng, pair, rng.sample(off_A, 15)) for _ in range(2))
+    else:
+        # Sorted coordinates make a point of the half-plane, or of the box's interior.
+        pair = HP if kind == "half_plane" else BOX
+        lo, hi = (-2.0, 3.0) if pair is HP else (-0.9, 3.9)
+        points = [[sorted(rng.uniform(lo, hi) for _ in range(2)) for _ in range(30)] for _ in "ab"]
+        mu, nu = (_general_measure(rng, pair, pts) for pts in points)
+    assert brute_force_wb(mu, nu, p).exact == solve_detail(mu, nu, p).wb_p_exact

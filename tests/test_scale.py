@@ -8,11 +8,12 @@ p in {1.5, 3}.
 """
 
 import math
+import sys
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from partialot import (  # noqa: E402
@@ -111,6 +112,49 @@ def _segment_in_X(draw):
 def test_geodesic_points_stay_in_X(segment, t):
     pair, x, y = segment
     point = pair.geo_point(x, y, t)
+    assert pair.validate_point(point) == point
+
+
+_EDGES = (sys.float_info.max, 1.7e308, sys.float_info.min, 5e-324, 0.0)
+# Any finite float, and the ends of the float range, subnormals and signed zeros.
+_wide = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([v for e in _EDGES for v in (e, -e)]),
+)
+
+
+@st.composite
+def _wide_segment_in_X(draw):
+    """A pair and two points of its X, with coordinates anywhere in the float range."""
+    if draw(st.booleans()):
+        pair = HP
+
+        def point():
+            a, b = sorted((draw(_wide), draw(_wide)))
+            return (a, a) if draw(st.booleans()) else (a, b)
+
+    else:
+        sides = [sorted(draw(st.lists(_wide, min_size=2, max_size=2, unique=True))) for _ in "xy"]
+        pair = EuclideanBoxPair(*zip(*sides))
+
+        def point():
+            return tuple(
+                draw(st.one_of(st.sampled_from([l, h]), st.floats(l, h)))
+                for l, h in zip(pair.lo, pair.hi)
+            )
+
+    return pair, point(), point()
+
+
+_any_t = st.one_of(st.sampled_from([5e-324, 0.5, 1 - 2**-53]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500)
+@given(_wide_segment_in_X(), _any_t)
+def test_geodesic_points_of_validated_points_validate(segment, t):
+    # Interpolation relies on this to test its points with _in_A unvalidated.
+    pair, x, y = segment
+    point = pair._geo_point(pair.validate_point(x), pair.validate_point(y), t)
     assert pair.validate_point(point) == point
 
 

@@ -16,7 +16,11 @@ For each side it prints the median time per operation over the passes and
 the garbage collections during the timed passes, read through
 ``gc.callbacks``: generation-0 collections per operation and the count of
 generation-2 (full) collections.  Then the median of the per-pass ratios
-B/A and the passes each side won.  Exit status 1 means the answers differ.
+B/A and the passes each side won.  It warns when B's generation-0
+collections per op fall more than ``GC_CADENCE_DROP`` below A's: the
+benchmark's ``peak_rss_mb`` follows that rate, since garbage that waits
+longer for a collection raises the peak.  Exit status 1 means the answers
+differ.
 """
 
 import argparse
@@ -33,6 +37,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+
+#: The fall in generation-0 collections per op, B against A, that is warned about.
+GC_CADENCE_DROP = 0.1
 
 
 def _purge():
@@ -99,10 +106,18 @@ def compare(name, sides, passes, gc_counter):
     ops = passes * pool
     print(f"{name}: {pool} ops a pass, {passes} passes, alternating A-B then B-A")
     print("  side  median s/op  gen-0/op  gen-2")
+    gen0_per_op = {}
     for side in ("A", "B"):
         gen0, _, gen2 = gc_counter.counts.get(side, [0, 0, 0])
         per_op = statistics.median(times[side]) / pool
-        print(f"  {side}     {per_op:.4e}   {gen0 / ops:8.3f}  {gen2:5d}")
+        gen0_per_op[side] = gen0 / ops
+        print(f"  {side}     {per_op:.4e}   {gen0_per_op[side]:8.3f}  {gen2:5d}")
+    drop = gen0_per_op["A"] - gen0_per_op["B"]
+    if drop > GC_CADENCE_DROP:
+        print(
+            f"  warning: B runs {drop:.3f} fewer gen-0 collections per op than A; "
+            "the benchmark's peak_rss_mb follows that rate"
+        )
     median = statistics.median(ratios)
     b_won = sum(r < 1.0 for r in ratios)
     a_won = sum(r > 1.0 for r in ratios)
