@@ -31,7 +31,7 @@ exact, passes only at 0.  Each ``*_violation`` function gives one check's value.
 """
 
 import math
-from operator import ge, le, mul, sub
+from operator import add, ge, le, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -122,70 +122,71 @@ def _concentration(cells, support) -> float:
     return worst
 
 
-def _cycle(pred) -> list:
-    """The nodes of a cycle among the predecessor labels, each followed by its label, or []."""
-    done = set()
-    for start in range(len(pred)):
-        path = {}
-        node = start
-        while node is not None and node not in done and node not in path:
-            path[node] = len(path)
-            node = pred[node]
-        if node in path:
-            return list(path)[path[node] :]
-        done.update(path)
-    return []
-
-
-def _tight_potentials(cells, support, phi, psi, lo_phi=None, hi_psi=None) -> tuple:
-    """Exact potentials feasible on every cell and tight on support, within bounds.
+def _tight_potentials(cells, support, phi, psi) -> tuple:
+    """Exact potentials feasible on every cell and tight on support, or a negative cycle.
 
     ``cells`` is the augmented matrix, its last row and column for A, and
     ``support`` its cells that carry flow; the virtual pair (A, A) joins
-    them.  All values are ints on one scale.  ``phi`` (one per row) and ``psi`` (one per column)
-    are upper and lower bounds that the labels start from, and ``lo_phi``
-    and ``hi_psi`` the opposite bounds, both or neither.  Labels only move towards
-    feasibility: phi_i down to min_j c_ij - psi_j, psi_j up to c_ij - phi_i
-    on the support.  That is label-correcting shortest paths over the
-    difference constraints.  When no label moves, the labels are feasible
-    and tight, and they are the greatest phi and least psi within the
-    starting bounds, so none within the other bounds exist if they break
-    those.  Each label keeps the node it last came from; a cycle among
-    those has negative length, and one appears whenever no potentials exist
-    at all.
+    them.  All values are ints on one scale.  The labels start from ``phi``
+    (one per row) and ``psi`` (one per column) and only move towards
+    feasibility: psi_j up to c_ij - phi_i on the support, phi_i down to
+    c_ij - psi_j.  That is label-correcting shortest paths over the
+    difference constraints, with Bellman-Ford-Moore work lists: each pass
+    raises psi only on the support of the rows whose phi fell, then lowers
+    phi only against the columns whose psi rose (at first every row and
+    column).  When no label moves, the labels are feasible and tight, and in
+    whatever order they moved they are the greatest phi and least psi within
+    their starts.  Each move walks back along the chain of nodes that the
+    labels last came from; a chain that returns to the moved node closes a
+    cycle of negative length, and one closes whenever no potentials exist.
 
-    Returns ``(potentials, cycle)``: ``((phi, psi), None)`` when potentials
-    within the bounds exist, ``(None, None)`` when they exist only outside,
-    and ``(None, (taken, given))`` for a negative cycle: ``taken`` are its
-    support cells and ``given`` the cells that reassign their rows to the
-    cycle's other columns, at a lower total cost.
+    Returns ``((phi, psi), None)``, or ``(None, (taken, given))`` for a
+    negative cycle: ``taken`` are its support cells and ``given`` the cells
+    that reassign their rows to the cycle's other columns, at a lower total cost.
     """
     m, n = len(phi) - 1, len(psi) - 1
     phi, psi = list(phi), list(psi)
-    support = sorted({*support, (m, n)})
-    pred = [None] * (len(phi) + len(psi))  # rows 0..m, then columns
-    while True:
-        changed = False
-        for i, j in support:
-            need = cells[i][j] - phi[i]
-            if need > psi[j]:
-                psi[j], pred[m + 1 + j] = need, i
-                changed = True
-        for i, row in enumerate(cells):
-            low = min(map(sub, row, psi))
-            if low < phi[i]:
-                phi[i], pred[i] = low, m + 1 + list(map(sub, row, psi)).index(low)
-                changed = True
-        if not changed:
+    on_row = [[] for _ in phi]
+    for i, j in sorted({*support, (m, n)}):
+        on_row[i].append(j)
+    pred = [None] * (m + n + 2)  # rows 0..m, then columns
+
+    def cycle(node):
+        """The cycle that node's chain of label sources closes, as ``(taken, given)``, or None."""
+        nodes = [node]
+        while pred[nodes[-1]] not in (None, node):
+            nodes.append(pred[nodes[-1]])
+        if pred[nodes[-1]] is None:
+            return None
+        taken = [(pred[v], v - m - 1) for v in nodes if v > m]
+        given = [(v, pred[v] - m - 1) for v in nodes if v <= m]
+        return taken, given
+
+    fell, rose = range(m + 1), set(range(n + 1))
+    while fell:
+        for i in fell:
+            f, row = phi[i], cells[i]
+            for j in on_row[i]:
+                if row[j] - f > psi[j]:
+                    psi[j], pred[m + 1 + j] = row[j] - f, i
+                    closed = cycle(m + 1 + j)
+                    if closed:
+                        return None, closed
+                    rose.add(j)
+        if not rose:
             break
-        cycle = _cycle(pred)
-        if cycle:
-            taken = [(pred[v], v - m - 1) for v in cycle if v > m]
-            given = [(v, pred[v] - m - 1) for v in cycle if v <= m]
-            return None, (taken, given)
-    if lo_phi is None or (all(map(ge, phi, lo_phi)) and all(map(le, psi, hi_psi))):
-        return (phi, psi), None
-    return None, None
+        fell, rose = [], sorted(rose)
+        for i, row in enumerate(cells):
+            low = [row[j] - psi[j] for j in rose]
+            best = min(low)
+            if best < phi[i]:
+                phi[i], pred[i] = best, m + 1 + rose[low.index(best)]
+                closed = cycle(i)
+                if closed:
+                    return None, closed
+                fell.append(i)
+        rose = set()
+    return (phi, psi), None
 
 
 def cyclical_monotonicity_violation(plan: TransportPlan, p) -> float:
@@ -223,8 +224,9 @@ def _one_ulp_box(cells, scale: int, support, phi, psi):
     Returns ``(tight, cells, phi, psi)``, all ints on one scale, or None
     when a potential is not finite.  ``tight`` holds exact potentials within
     one ulp of each float, extended by 0 on A, that are feasible on every
-    cell and tight on the support, or None when there are none.  Float rounding moves exact potentials by less than an
-    ulp, so a plan certified by exact potentials has them in this box.
+    cell and tight on the support, or None when there are none.  Float
+    rounding moves exact potentials by less than an ulp, so a plan certified
+    by exact potentials has them in this box.
     """
     floats = phi + psi
     if not all(map(math.isfinite, floats)):
@@ -232,17 +234,13 @@ def _one_ulp_box(cells, scale: int, support, phi, psi):
     m, bits = len(phi), scale.bit_length() - 1
     rows = [[float(v).as_integer_ratio() for v in row] for row in (floats, map(math.ulp, floats))]
     (values, ulps), k = _dyadic(rows, bits)
-    phi, psi = values[:m], values[m:]
+    lo, hi = list(map(sub, values, ulps)), list(map(add, values, ulps))
     cells = [[c << (k - bits) for c in row] for row in cells]
-    tight, _ = _tight_potentials(
-        cells,
-        support,
-        [f + u for f, u in zip(phi, ulps)] + [0],
-        [g - u for g, u in zip(psi, ulps[m:])] + [0],
-        [f - u for f, u in zip(phi, ulps)] + [0],
-        [g + u for g, u in zip(psi, ulps[m:])] + [0],
-    )
-    return tight, cells, phi, psi
+    tight, _ = _tight_potentials(cells, support, hi[:m] + [0], lo[m:] + [0])
+    # The labels are the greatest phi and least psi within these starts, so
+    # potentials in the box exist exactly when the labels stay in it.
+    inside = tight and all(map(ge, tight[0], lo[:m] + [0])) and all(map(le, tight[1], hi[m:] + [0]))
+    return (tight if inside else None), cells, values[:m], values[m:]
 
 
 def _potential_values(xs, ys, duals) -> tuple:

@@ -23,7 +23,7 @@ from .errors import (
 from .geodesic import curvature_margins, geodesic_path, interpolate
 from .oracle import brute_force_wb
 from .plans import cost as plan_cost
-from .solver import diagram_distance, solve, solve_detail
+from .solver import diagram_distance, solve, solve_detail, wb_distance
 
 _MISMATCH_ERRORS = (
     PairMismatchError,
@@ -56,21 +56,25 @@ def _emit(args, record: dict, text_lines):
 def _cmd_dist(args) -> int:
     mu = pot_io.load_measure(args.measure_a)
     nu = pot_io.load_measure(args.measure_b)
+    if not args.oracle:  # the distance alone builds no potentials
+        wb = wb_distance(mu, nu, args.p)
+        _emit(args, {"command": "dist", "p": args.p, "wb": wb}, [_fmt(wb)])
+        return 0
     result = solve_detail(mu, nu, args.p)
-    record = {"command": "dist", "p": args.p, "wb": result.wb}
-    lines = [_fmt(result.wb)]
-    status = 0
-    if args.oracle:
-        oracle = brute_force_wb(mu, nu, args.p)
-        gap = float(abs(result.wb_p_exact - oracle.exact))
-        agree = result.wb_p_exact == oracle.exact
-        record.update({"oracle": oracle.value, "oracle_gap": gap, "agree": agree})
-        lines.append(f"oracle {_fmt(oracle.value ** (1.0 / args.p))}")
-        lines.append("agreement ok" if agree else f"ORACLE MISMATCH gap={gap:.3e}")
-        if not agree:
-            status = 2
+    oracle = brute_force_wb(mu, nu, args.p)
+    gap = float(abs(result.wb_p_exact - oracle.exact))
+    agree = result.wb_p_exact == oracle.exact
+    record = {
+        "command": "dist", "p": args.p, "wb": result.wb,
+        "oracle": oracle.value, "oracle_gap": gap, "agree": agree,
+    }
+    lines = [
+        _fmt(result.wb),
+        f"oracle {_fmt(oracle.value ** (1.0 / args.p))}",
+        "agreement ok" if agree else f"ORACLE MISMATCH gap={gap:.3e}",
+    ]
     _emit(args, record, lines)
-    return status
+    return 0 if agree else 2
 
 
 def _cmd_plan(args) -> int:

@@ -78,11 +78,11 @@ def save_pair(pair, path):
     _write_json(pair.describe(), path)
 
 
-def load_measure(path, default_pair=None) -> DiscreteMeasure:
+def load_measure(path) -> DiscreteMeasure:
     data = _read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise MalformedFileError(f"{path}: measure file must contain an 'atoms' list")
-    pair = _resolve_pair(data.get("pair"), path, default_pair)
+    pair = _resolve_pair(data.get("pair"), path, None)
     atoms = []
     for k, rec in enumerate(data["atoms"]):
         try:

@@ -1,13 +1,16 @@
-"""Rational reference for the integer simplex, shared by the simplex and solver tests.
+"""Exact references shared by the simplex, solver and certify tests.
 
 ``solve_transportation`` takes and returns ints.  These helpers put a
 ``Fraction`` instance on two integer scales (the lcm of the masses'
 denominators and that of the costs'), run the int simplex and divide its
 answers back, so the tests can state and check exact rational answers.
+:func:`full_pass_potentials` is certify's potential search done the plain
+way, every cell on every pass.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import ge, le, sub
 
 from partialot._simplex import solve_transportation
 from partialot.solver import build_augmented_problem
@@ -98,3 +101,59 @@ def reference_detail(mu, nu, p):
     phi = {x: float(u[i] + v[n]) for i, x in enumerate(xs)}
     psi = {y: float(v[j] + u[m]) for j, y in enumerate(ys)}
     return wb, plan, phi, psi, alt > 0
+
+
+def _cycle(pred) -> list:
+    """The nodes of a cycle among the predecessor labels, each followed by its label, or []."""
+    done = set()
+    for start in range(len(pred)):
+        path = {}
+        node = start
+        while node is not None and node not in done and node not in path:
+            path[node] = len(path)
+            node = pred[node]
+        if node in path:
+            return list(path)[path[node] :]
+        done.update(path)
+    return []
+
+
+def full_pass_potentials(cells, support, phi, psi, lo_phi=None, hi_psi=None) -> tuple:
+    """Exact potentials feasible on every cell and tight on support, within bounds.
+
+    The reference for ``certify._tight_potentials``: the same labels from
+    the same starts ``phi`` and ``psi``, but every pass raises psi on the
+    whole support, lowers phi against every cell and then looks for a cycle
+    among all the labels' sources.  ``lo_phi`` and ``hi_psi``, both or
+    neither, bound the labels from the other side.
+
+    Returns ``((phi, psi), None)`` when potentials within the bounds exist,
+    ``(None, None)`` when they exist only outside, and ``(None, (taken,
+    given))`` for a negative cycle, as ``certify._tight_potentials`` does.
+    """
+    m, n = len(phi) - 1, len(psi) - 1
+    phi, psi = list(phi), list(psi)
+    support = sorted({*support, (m, n)})
+    pred = [None] * (len(phi) + len(psi))  # rows 0..m, then columns
+    while True:
+        changed = False
+        for i, j in support:
+            need = cells[i][j] - phi[i]
+            if need > psi[j]:
+                psi[j], pred[m + 1 + j] = need, i
+                changed = True
+        for i, row in enumerate(cells):
+            low = min(map(sub, row, psi))
+            if low < phi[i]:
+                phi[i], pred[i] = low, m + 1 + list(map(sub, row, psi)).index(low)
+                changed = True
+        if not changed:
+            break
+        cycle = _cycle(pred)
+        if cycle:
+            taken = [(pred[v], v - m - 1) for v in cycle if v > m]
+            given = [(v, pred[v] - m - 1) for v in cycle if v <= m]
+            return None, (taken, given)
+    if lo_phi is None or (all(map(ge, phi, lo_phi)) and all(map(le, psi, hi_psi))):
+        return (phi, psi), None
+    return None, None

@@ -8,7 +8,8 @@ from itertools import combinations, permutations
 import pytest
 
 import partialot.solver
-from partialot import selftest
+from exact_reference import full_pass_potentials
+from partialot import certify, selftest
 from partialot import (
     DualPotentials,
     EuclideanBoxPair,
@@ -245,6 +246,33 @@ def test_certify_optimal_rejects_canonical_suboptimal_plan():
     assert not report.all_passed()
     assert not report.cost_optimal
     assert not report.cyclically_monotone
+
+
+def test_sixty_atom_plans_certify_as_the_full_pass_search_does(monkeypatch):
+    # Sixty atoms a side take the work-list search through many passes: the
+    # solver's plan certifies with exact potentials, and a swap that raises
+    # its cost fails with the report the full-pass reference search gives.
+    rng = random.Random(60)
+
+    def atoms():
+        out = []
+        for _ in range(60):
+            a = rng.uniform(0.0, 10.0)
+            out.append(((a, a + rng.uniform(0.1, 5.0)), rng.uniform(0.1, 3.0)))
+        return out
+
+    mu, nu = new_measure(HP, atoms()), new_measure(HP, atoms())
+    r = solve(mu, nu, 2)
+    perturbed = selftest._perturb_swap(rng, r.plan)
+    while plan_cost(perturbed, 2) - plan_cost(r.plan, 2) <= 1e-6:
+        perturbed = selftest._perturb_swap(rng, r.plan)
+    solved = certify_optimal(mu, nu, r.plan, r.duals, 2)
+    rejected = certify_optimal(mu, nu, perturbed, r.duals, 2)
+    assert solved.all_passed() and potentials_violation(r.plan, r.duals, 2) == 0.0
+    assert not rejected.all_passed() and not rejected.cyclically_monotone
+    monkeypatch.setattr(certify, "_tight_potentials", full_pass_potentials)
+    assert certify_optimal(mu, nu, r.plan, r.duals, 2) == solved
+    assert certify_optimal(mu, nu, perturbed, r.duals, 2) == rejected
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, "1e-8", True])

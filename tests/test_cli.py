@@ -402,6 +402,21 @@ def test_certify_plan_cost_beyond_the_float_range_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: value out of the float range")
 
 
+def test_only_plan_needs_potentials_within_the_float_range(tmp_path, capsys):
+    # Matching (0, 2^700) to (1, 2^700) costs 1, but a potential is near
+    # 2^1399: dist and geodesic build none, plan writes them and refuses.
+    a, b = str(tmp_path / "a.measure"), str(tmp_path / "b.measure")
+    pot_io.save_measure(new_measure(HP, [((0.0, 2.0**700), 1.0)]), a)
+    pot_io.save_measure(new_measure(HP, [((1.0, 2.0**700), 1.0)]), b)
+    assert main(["dist", "--p", "2", a, b]) == 0
+    assert capsys.readouterr().out == "1.00000000000\n"
+    prefix = str(tmp_path / "geo_")
+    assert main(["geodesic", "--p", "2", "--steps", "2", a, b, "-o", prefix]) == 0
+    assert capsys.readouterr().out.startswith("length 1.00000000000\n")
+    assert main(["plan", "--p", "2", a, b, "-o", str(tmp_path / "out.plan")]) == 1
+    assert capsys.readouterr().err.startswith("error: value out of the float range")
+
+
 def test_pair_mismatch_exit_code(tmp_path, capsys):
     from partialot import EuclideanBoxPair
 

@@ -161,16 +161,16 @@ def test_branch_probe_rejects_a_changed_re_solve(monkeypatch, targets, report):
     # (0, 1.5) and (2, 5.5), and the second solve's plan is replaced.
     mu0 = new_measure(HP, [((0, 1), 1.0), ((2, 5), 1.0)])
     mu1 = new_measure(HP, [((0, 2), 1.0), ((2, 6), 1.0)])
-    real, calls = partialot.geodesic.solve_detail, []
+    real, calls = partialot.geodesic._plan_of, []
 
-    def solve_detail(mu, nu, p):
-        calls.append(real(mu, nu, p))
+    def plan_of(pair, opt, p):
+        calls.append(real(pair, opt, p))
         if len(calls) == 1:
             return calls[0]
-        entries = [(x, w, 1.0) for (x, _), w in zip(mu.atoms, targets)]
-        return calls[1]._replace(plan=new_plan(HP, entries, p))
+        entries = [(x, w, 1.0) for (x, _), w in zip(mu0.atoms, targets)]
+        return new_plan(HP, entries, p)
 
-    monkeypatch.setattr(partialot.geodesic, "solve_detail", solve_detail)
+    monkeypatch.setattr(partialot.geodesic, "_plan_of", plan_of)
     got = branch_probe(mu0, mu1, 0.5, 2)
     assert len(calls) == 2
     assert (got.map_induced, got.endpoint_reproduced) == report

@@ -118,6 +118,12 @@ def test_malformed_files(tmp_path):
     with pytest.raises(MalformedFileError):
         pot_io.load_pair(tmp_path / "nonexistent.json")
 
+    # A measure file names its own pair: load_measure takes no default.
+    no_pair = tmp_path / "nopair.measure"
+    no_pair.write_text(json.dumps({"atoms": [{"point": [0, 2], "mass": 1.0}]}))
+    with pytest.raises(MalformedFileError, match="no 'pair' given"):
+        pot_io.load_measure(no_pair)
+
 
 FINITE_DESC = {"kind": "finite", "dist": [[0, 2, 3], [2, 0, 1], [3, 1, 0]], "A": [0]}
 
