@@ -27,7 +27,7 @@ validates them again.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 from typing import NamedTuple
 
 from ._simplex import solve_transportation
@@ -183,7 +183,10 @@ def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _Optimum:
     wb_p = _rounded(total, mass_scale * problem.scale)
     if total > 0 and wb_p == 0.0:
         raise FloatRangeError("value out of the float range: the optimum Wb_p^p > 0 underflows")
-    return _Optimum(wb_p ** (1.0 / p), problem, flows, u, v, alt, mass_scale, total)
+    # sqrt is correctly rounded and pow is not, so at p = 2 a power-of-two
+    # scale of the measures scales Wb_2 exactly, as it does Wb_2^2.
+    wb = sqrt(wb_p) if p == 2.0 else wb_p ** (1.0 / p)
+    return _Optimum(wb, problem, flows, u, v, alt, mass_scale, total)
 
 
 def _duals(opt: _Optimum) -> DualPotentials:

@@ -9,7 +9,7 @@ way, every cell on every pass.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 from operator import ge, le, sub
 
 from partialot._simplex import solve_transportation
@@ -91,7 +91,8 @@ def reference_detail(mu, nu, p):
     xs, ys = [x for x, _ in mu.atoms], [y for y, _ in nu.atoms]
     m, n = len(xs), len(ys)
     pair = mu.pair
-    wb = float(sum(f * cost[i][j] for (i, j), f in flows.items())) ** (1.0 / p)
+    wb_p = float(sum(f * cost[i][j] for (i, j), f in flows.items()))
+    wb = sqrt(wb_p) if p == 2 else wb_p ** (1.0 / p)
     plan = {}
     for (i, j), f in flows.items():
         if i < m or j < n:

@@ -171,6 +171,20 @@ def test_diagram_distance_scales_with_the_diagrams(sigma, tau, k, p):
     _assert_entries_scaled(matching_lam.entries, matching.entries, lam)
 
 
+def test_d_2_of_halved_diagrams_is_half_to_the_bit():
+    # Wb_2^2 = 0x1.b13c197798...p+16 here, where pow(x, 0.5) rounds the root
+    # up by one ulp and sqrt does not: halving the diagrams must halve d_2.
+    sigma = [(0.0, 2.0**-10), (0.0, 0.09765625), (0.0, 34.6494140625),
+             (0.0, 185.0458984375), (0.0, 431.66796875)]
+    tau = [(0.0, 2.0**-10), (0.0, 6.0322265625)]
+    d, _ = diagram_distance(new_diagram(sigma), new_diagram(tau), 2)
+    half, _ = diagram_distance(
+        new_diagram([_scaled(x, 0.5) for x in sigma]), new_diagram([_scaled(x, 0.5) for x in tau]), 2
+    )
+    assert d == 333.0286766647968
+    assert half == d / 2
+
+
 @st.composite
 def _measure_atoms(draw):
     point = draw(st.sampled_from([_half_plane_point, _box_point]))
