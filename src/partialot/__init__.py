@@ -63,10 +63,8 @@ from .solver import (
 )
 from .certify import CertificateReport, certify_optimal
 from .geodesic import (
-    BranchProbeReport,
     GeodesicPath,
     angle_at_zero,
-    branch_probe,
     check_constant_speed,
     curvature_comparison,
     curvature_margins,

@@ -19,11 +19,12 @@ from .errors import (
     OracleSizeError,
     PairMismatchError,
     PartialOTError,
+    check_exponent,
 )
 from .geodesic import curvature_margins, geodesic_path, interpolate
 from .oracle import brute_force_wb
 from .plans import cost as plan_cost
-from .solver import diagram_distance, solve, solve_detail, wb_distance
+from .solver import _optimum, diagram_distance, solve, wb_distance
 
 _MISMATCH_ERRORS = (
     PairMismatchError,
@@ -60,16 +61,16 @@ def _cmd_dist(args) -> int:
         wb = wb_distance(mu, nu, args.p)
         _emit(args, {"command": "dist", "p": args.p, "wb": wb}, [_fmt(wb)])
         return 0
-    result = solve_detail(mu, nu, args.p)
+    opt = _optimum(mu, nu, check_exponent(args.p))  # the exact optimum, no potentials
     oracle = brute_force_wb(mu, nu, args.p)
-    gap = float(abs(result.wb_p_exact - oracle.exact))
-    agree = result.wb_p_exact == oracle.exact
+    gap = float(abs(opt.exact - oracle.exact))
+    agree = opt.exact == oracle.exact
     record = {
-        "command": "dist", "p": args.p, "wb": result.wb,
+        "command": "dist", "p": args.p, "wb": opt.wb,
         "oracle": oracle.value, "oracle_gap": gap, "agree": agree,
     }
     lines = [
-        _fmt(result.wb),
+        _fmt(opt.wb),
         f"oracle {_fmt(oracle.value ** (1.0 / args.p))}",
         "agreement ok" if agree else f"ORACLE MISMATCH gap={gap:.3e}",
     ]

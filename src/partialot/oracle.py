@@ -12,7 +12,7 @@ where each copy of A carries the mass of the atom it stands for.  Every cell
 is read from one ``cost_matrix`` pass over the measures' validated atoms, so
 the costs are ints on one power-of-two scale; the masses share no scale and
 stay exact Fractions, as do the flows.  Successive shortest paths (Tomizawa 1971; Edmonds and Karp
-1972), each found by a dense Dijkstra on the int reduced costs, give the
+1972), each found by Dijkstra with a heap on the int reduced costs, give the
 exact optimum Wb_p^p: the total of flow times int cost, over that scale.
 :func:`brute_force_diagram` runs the same solver on the unit-mass measures
 of two diagrams, whose flows are integral, and reads it as a matching.
@@ -24,7 +24,9 @@ perturbation) and its rounding are its own, so the two check each other.
 Being fast is a non-goal: ``MAX_MATCH_POINTS`` bounds the atoms per instance.
 """
 
+from bisect import insort
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import FloatRangeError, OracleSizeError, PairMismatchError, check_exponent
@@ -57,23 +59,29 @@ def _min_cost_flow(supply, demand, cost) -> dict:
     """
     rows, nodes = len(supply), len(supply) + len(demand)
     supply, demand, flow, pot = list(supply), list(demand), {}, [0] * nodes
+    carriers = [[] for _ in demand]  # each column's rows with flow, ascending
     while any(supply):
         dist = [0 if s else None for s in supply] + [None] * len(demand)
+        heap = [(0, k) for k, s in enumerate(supply) if s]  # sorted, so a heap
         prev, done = [None] * nodes, [False] * nodes
         while True:
-            u = min((k for k in range(nodes) if dist[k] is not None and not done[k]),
-                    key=dist.__getitem__)
+            # The nearest unsettled node, the lowest-numbered on ties; an
+            # entry superseded by a shorter one pops after its node settled.
+            _, u = heappop(heap)
+            if done[u]:
+                continue
             done[u] = True
             if u >= rows and demand[u - rows]:
                 break
             if u < rows:
                 arcs = [(rows + j, c) for j, c in enumerate(cost[u])]
             else:
-                arcs = [(i, -cost[i][u - rows]) for i in range(rows) if (i, u - rows) in flow]
+                arcs = [(i, -cost[i][u - rows]) for i in carriers[u - rows]]
             for w, c in arcs:
                 d = dist[u] + c + pot[u] - pot[w]
                 if not done[w] and (dist[w] is None or d < dist[w]):
                     dist[w], prev[w] = d, u
+                    heappush(heap, (d, w))
         # Each node moves by its distance, capped at the target's: reduced costs stay >= 0.
         top = dist[u]
         pot = [q + (top if d is None else min(d, top)) for q, d in zip(pot, dist)]
@@ -84,9 +92,12 @@ def _min_cost_flow(supply, demand, cost) -> dict:
             w = a
         delta = min([supply[w], demand[u - rows]] + [flow[cell] for cell, s in path if s < 0])
         for cell, s in path:
+            if cell not in flow:
+                insort(carriers[cell[1]], cell[0])
             flow[cell] = flow.get(cell, 0) + s * delta
             if not flow[cell]:
                 del flow[cell]
+                carriers[cell[1]].remove(cell[0])
         supply[w] -= delta
         demand[u - rows] -= delta
     return flow

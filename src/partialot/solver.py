@@ -155,6 +155,11 @@ class _Optimum(NamedTuple):
     mass_scale: int
     total: int  # the optimum Wb_p^p over mass_scale * problem.scale
 
+    @property
+    def exact(self) -> Fraction:
+        """The optimum Wb_p^p before rounding."""
+        return Fraction(self.total, self.mass_scale * self.problem.scale)
+
 
 def _optimum(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> _Optimum:
     """Build the problem, scale the masses, run the simplex and round Wb_p once.
@@ -244,8 +249,7 @@ def solve_detail(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveDetail:
     p = check_exponent(p)
     opt = _optimum(mu, nu, p)
     duals = _duals(opt)
-    exact = Fraction(opt.total, opt.mass_scale * opt.problem.scale)
-    return SolveDetail(opt.wb, _plan_of(mu.pair, opt, p), duals, opt.alt > 0, exact)
+    return SolveDetail(opt.wb, _plan_of(mu.pair, opt, p), duals, opt.alt > 0, opt.exact)
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> SolveResult:

@@ -10,7 +10,6 @@ import pytest
 
 from partialot import (
     AugmentedProblem,
-    BranchProbeReport,
     CertificateReport,
     DualPotentials,
     GeodesicPath,
@@ -34,8 +33,7 @@ _FIELDS = {
         "cost_optimal",
         "worst_violation",
     ),
-    GeodesicPath: ("plan", "pair", "p", "length", "mu0", "mu1"),
-    BranchProbeReport: ("t0", "map_induced", "endpoint_reproduced", "degenerate", "dropped_mass"),
+    GeodesicPath: ("plan", "pair", "p", "length"),
     OracleResult: ("value", "witness", "exact"),
     CriterionResult: ("number", "name", "passed", "worst", "detail", "seconds"),
 }
@@ -49,7 +47,7 @@ def test_result_records_are_named_tuples(record):
 
 @pytest.mark.parametrize(
     "report",
-    [CertificateReport(True, True, True, True, False, 0.5), BranchProbeReport(0.5, True, True, False, 0.0)],
+    [CertificateReport(True, True, True, True, False, 0.5)],
     ids=lambda report: type(report).__name__,
 )
 def test_reports_cannot_be_mutated(report):

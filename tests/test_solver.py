@@ -21,7 +21,6 @@ from partialot import (
     build_augmented_problem,
     cost_c,
     cost_ctilde,
-    branch_probe,
     diagram_distance,
     geodesic_path,
     in_S,
@@ -294,8 +293,6 @@ def test_only_returned_values_raise_float_range_errors():
     path = geodesic_path(mu, nu, 2)
     assert path.length == 1.0 and path.plan == plan
     assert interpolate(path, 0.5).atoms == (((0.5, 2.0**700), 1.0),)
-    probe = branch_probe(mu, nu, 0.5, 2)
-    assert probe.map_induced and probe.endpoint_reproduced and not probe.degenerate
 
 
 def test_a_flow_that_rounds_to_zero_is_refused():
