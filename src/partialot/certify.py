@@ -219,14 +219,14 @@ def _monotonicity(cells, support) -> float:
 
 
 def _one_ulp_box(cells, scale: int, support, phi, psi):
-    """The float potentials and the cells on one int scale, and exact potentials near them.
+    """The float potentials on the scale of ``cells``, and exact potentials near them.
 
-    Returns ``(tight, cells, phi, psi)``, all ints on one scale, or None
-    when a potential is not finite.  ``tight`` holds exact potentials within
-    one ulp of each float, extended by 0 on A, that are feasible on every
-    cell and tight on the support, or None when there are none.  Float
-    rounding moves exact potentials by less than an ulp, so a plan certified
-    by exact potentials has them in this box.
+    Returns ``(tight, phi, psi)``, ints, or None when a potential is not
+    finite; if the potentials need a finer scale, each row of ``cells`` is
+    shifted to it in place.  ``tight`` holds exact potentials within one ulp
+    of each float, extended by 0 on A, feasible on every cell and tight on
+    the support, or None when there are none.  Float rounding moves exact
+    potentials by less than an ulp, so a plan they certify has them in the box.
     """
     floats = phi + psi
     if not all(map(math.isfinite, floats)):
@@ -235,12 +235,13 @@ def _one_ulp_box(cells, scale: int, support, phi, psi):
     rows = [[float(v).as_integer_ratio() for v in row] for row in (floats, map(math.ulp, floats))]
     (values, ulps), k = _dyadic(rows, bits)
     lo, hi = list(map(sub, values, ulps)), list(map(add, values, ulps))
-    cells = [[c << (k - bits) for c in row] for row in cells]
+    for i, row in enumerate(cells if k > bits else ()):
+        cells[i] = [c << (k - bits) for c in row]
     tight, _ = _tight_potentials(cells, support, hi[:m] + [0], lo[m:] + [0])
     # The labels are the greatest phi and least psi within these starts, so
     # potentials in the box exist exactly when the labels stay in it.
     inside = tight and all(map(ge, tight[0], lo[:m] + [0])) and all(map(le, tight[1], hi[m:] + [0]))
-    return (tight if inside else None), cells, values[:m], values[m:]
+    return (tight if inside else None), values[:m], values[m:]
 
 
 def _potential_values(xs, ys, duals) -> tuple:
@@ -268,14 +269,14 @@ def potentials_violation(plan: TransportPlan, duals, p) -> float:
     p = check_exponent(p)
     xs, ys, cells, scale, support = _plan_cells(plan, marginals(plan), p)
     box = _one_ulp_box(cells, scale, support, *_potential_values(xs, ys, duals))
-    return _potentials(box, support)
+    return _potentials(box, cells, support)
 
 
-def _potentials(box, support) -> float:
-    """:func:`potentials_violation` given the one-ulp search."""
+def _potentials(box, cells, support) -> float:
+    """:func:`potentials_violation` given the one-ulp search on ``cells``."""
     if box is None:
         return math.inf
-    tight, cells, phi, psi = box
+    tight, phi, psi = box
     if tight is not None:
         return 0.0
     carried = set(support)
@@ -338,14 +339,14 @@ def duality_gap_violation(plan: TransportPlan, duals, p) -> float:
     p = check_exponent(p)
     xs, ys, cells, scale, support = _plan_cells(plan, marginals(plan), p)
     box = _one_ulp_box(cells, scale, support, *_potential_values(xs, ys, duals))
-    return _duality_gap(plan, box, support)
+    return _duality_gap(plan, box, cells, support)
 
 
-def _duality_gap(plan: TransportPlan, box, support) -> float:
-    """:func:`duality_gap_violation` given the one-ulp search."""
+def _duality_gap(plan: TransportPlan, box, cells, support) -> float:
+    """:func:`duality_gap_violation` given the one-ulp search on ``cells``."""
     if box is None:
         return math.inf
-    tight, cells, phi, psi = box
+    tight, phi, psi = box
     m, n = len(phi), len(psi)
     (masses,), _ = _dyadic([[float(mass).as_integer_ratio() for _, _, mass in plan.entries]])
     cost = 0
@@ -396,16 +397,15 @@ def certify_optimal(
     ):
         raise InadmissiblePlanError("plan marginals do not match the prescribed measures")
 
-    # Every check but shipping reads these cells, and the potentials check
-    # and the duality gap share one search for exact potentials.
+    # All checks but shipping read these cells; two share one potential search.
     xs, ys, cells, scale, support = _plan_cells(plan, margins, p)
     box = _one_ulp_box(cells, scale, support, *_potential_values(xs, ys, duals))
     conc = _concentration(cells, support)
     # Tight potentials within one ulp also prove cyclical monotonicity.
     mono = 0.0 if box is not None and box[0] is not None else _monotonicity(cells, support)
-    pots = _potentials(box, support)
+    pots = _potentials(box, cells, support)
     ship = _shipping(plan.pair, _boundary_pairs(plan))
-    gap = _duality_gap(plan, box, support)
+    gap = _duality_gap(plan, box, cells, support)
 
     return CertificateReport(
         concentrated_on_S=conc <= tol,

@@ -1,6 +1,7 @@
 """Tests for the optimality certificates."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -273,6 +274,52 @@ def test_sixty_atom_plans_certify_as_the_full_pass_search_does(monkeypatch):
     monkeypatch.setattr(certify, "_tight_potentials", full_pass_potentials)
     assert certify_optimal(mu, nu, r.plan, r.duals, 2) == solved
     assert certify_optimal(mu, nu, perturbed, r.duals, 2) == rejected
+
+
+def _one_ulp_box_on(pair, p, monkeypatch):
+    """``_one_ulp_box`` on a seeded plan: the cells after, their rows and ints before, the shift.
+
+    Also checks that the search read the caller's cells and that the exact
+    potentials are the floats on the cells' scale after the call.
+    """
+    rng = random.Random(f"one copy/{pair.kind}/{p}")
+    if pair is FIN:
+        atoms = [[(rng.randrange(10), rng.uniform(0.1, 3.0)) for _ in range(8)] for _ in "mn"]
+        mu, nu = (new_measure(FIN, side) for side in atoms)
+    else:
+        mu, nu = (selftest._random_measure(rng, pair, 8, min_atoms=4) for _ in range(2))
+    r = solve(mu, nu, p)
+    xs, ys, cells, scale, support = certify._plan_cells(r.plan, marginals(r.plan), p)
+    rows, before = list(cells), [list(row) for row in cells]
+    searched, search = [], certify._tight_potentials
+    monkeypatch.setattr(
+        certify, "_tight_potentials", lambda c, *args: searched.append(c) or search(c, *args)
+    )
+    phi, psi = certify._potential_values(xs, ys, r.duals)
+    tight, exact_phi, exact_psi = certify._one_ulp_box(cells, scale, support, phi, psi)
+    assert tight is not None
+    floats, bits = phi + psi, scale.bit_length() - 1
+    ratios = [[v.as_integer_ratio() for v in row] for row in (floats, map(math.ulp, floats))]
+    (values, _), k = certify._dyadic(ratios, bits)
+    assert exact_phi + exact_psi == values
+    assert searched == [cells] and searched[0] is cells
+    return cells, rows, before, k - bits
+
+
+def test_one_ulp_box_reads_the_cells_it_is_given_at_p_2(monkeypatch):
+    # On the half-plane at p = 2 the potentials sit on the cells' own scale,
+    # so the search reads the caller's rows as they are: no copy is made.
+    cells, rows, before, shift = _one_ulp_box_on(HP, 2, monkeypatch)
+    assert shift == 0 and len(cells) == len(rows) and all(map(operator.is_, cells, rows))
+    assert cells == before
+
+
+def test_one_ulp_box_shifts_the_callers_cells_in_place(monkeypatch):
+    # The finite pair's cells are ints over 1, and the potentials' ulps need a
+    # finer scale: the caller's cells hold the shifted ints afterwards.
+    cells, _, before, shift = _one_ulp_box_on(FIN, 2, monkeypatch)
+    assert shift > 0
+    assert cells == [[c << shift for c in row] for row in before]
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, "1e-8", True])

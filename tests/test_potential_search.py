@@ -87,12 +87,13 @@ def test_one_ulp_box_matches_the_bounded_reference(instance, data):
         exact = [f - phi[m] for f in phi[:m]] + [g + phi[m] for g in psi[:n]]
     floats = [_nudged(float(v), data.draw(st.sampled_from(_NUDGES))) for v in exact]
 
-    tight, wide_cells, phi, psi = _one_ulp_box(cells, 1, support, floats[:m], floats[m:])
+    tight, phi, psi = _one_ulp_box(cells, 1, support, floats[:m], floats[m:])
     rows = [[v.as_integer_ratio() for v in row] for row in (floats, map(math.ulp, floats))]
     (values, ulps), _ = _dyadic(rows)
     assert phi + psi == values
     lo = [v - u for v, u in zip(values, ulps)] + [0]
     hi = [v + u for v, u in zip(values, ulps)] + [0]
     start = (hi[:m] + [0], lo[m:])
-    assert tight == full_pass_potentials(wide_cells, support, *start, lo[:m] + [0], hi[m:])[0]
-    _check_same_search(wide_cells, support, *start)
+    # The box shifts the caller's cells to the potentials' scale in place.
+    assert tight == full_pass_potentials(cells, support, *start, lo[:m] + [0], hi[m:])[0]
+    _check_same_search(cells, support, *start)
