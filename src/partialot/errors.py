@@ -1,7 +1,10 @@
 """Error types shared across the package."""
 
 import math
+import sys
 from fractions import Fraction
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class PartialOTError(ValueError):
@@ -52,16 +55,30 @@ class FloatRangeError(PartialOTError, OverflowError):
     """A cost, the optimum or a potential lies beyond the float range."""
 
 
+def _is_rational(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def is_number(value) -> bool:
-    """True for int, float and Fraction values; bools and strings are not numbers."""
-    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+    """True for floats, and for int and Fraction values within the float range.
+
+    Bools and strings are not numbers, nor is an int such as 10**400 that
+    ``float`` cannot convert.
+    """
+    return isinstance(value, float) or (_is_rational(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
 def as_number(value) -> float:
-    """``value`` as a float, or TypeError unless :func:`is_number` holds."""
-    if not is_number(value):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    """``value`` as a float: an int or Fraction past the float range reads as +-inf.
+
+    Every caller refuses an infinite value.  TypeError for a bool, a string
+    or any other non-number.
+    """
+    if is_number(value):
+        return float(value)
+    if _is_rational(value):
+        return math.inf if value > 0 else -math.inf
+    raise TypeError(f"expected a number, got {value!r}")
 
 
 def check_exponent(p) -> float:

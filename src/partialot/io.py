@@ -25,13 +25,18 @@ from .solver import DualPotentials
 
 
 def _read_json(path):
+    """The parsed file, or MalformedFileError naming ``path`` for any read or parse failure.
+
+    Besides bad JSON, ``json.load`` raises ValueError for bad UTF-8 or an int
+    past Python's digit limit, and RecursionError for arrays nested too deep.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise MalformedFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MalformedFileError(f"{path}: {exc}") from exc
 
 
 def _write_json(obj, path):
@@ -62,7 +67,7 @@ def _resolve_pair(raw, path, default_pair):
         return load_pair(ref)
     try:
         return pair_from_description(raw)
-    except (PartialOTError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedFileError(f"{path}: bad pair description: {exc}") from exc
 
 
@@ -70,7 +75,7 @@ def load_pair(path):
     data = _read_json(path)
     try:
         return pair_from_description(data)
-    except (PartialOTError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 
@@ -148,7 +153,7 @@ def load_plan(path, default_pair=None):
             raise MalformedFileError(f"{path}: entry #{k} malformed: {exc}") from exc
     try:
         plan = new_plan(pair, entries, as_number(data["p"]))
-    except (PartialOTError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
     duals = None

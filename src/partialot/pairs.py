@@ -172,7 +172,7 @@ def _as_coords(x, dim: int, pair: MetricPair) -> tuple:
         )
     try:
         coords = tuple(c if type(c) is float else as_number(c) for c in x)
-    except (TypeError, OverflowError) as exc:
+    except TypeError as exc:
         raise InvalidPointError(f"not a coordinate sequence: {x!r}") from exc
     if len(coords) != dim:
         raise InvalidPointError(
@@ -245,7 +245,7 @@ class HalfPlanePair(MetricPair):
 
 def _canon_box_corner(v) -> tuple:
     if not all(is_number(c) for c in v):
-        raise ValueError(f"box corner coordinates must be numbers, got {v!r}")
+        raise ValueError(f"box corners must be numbers within the float range, got {v!r}")
     return tuple(float(c) for c in v)
 
 
@@ -350,7 +350,7 @@ class FinitePair(MetricPair):
 
     def __post_init__(self):
         if not all(is_number(d) for row in self.table for d in row):
-            raise ValueError("distance table entries must be numbers")
+            raise ValueError("distance table entries must be numbers within the float range")
         table = tuple(tuple(float(d) for d in row) for row in self.table)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):

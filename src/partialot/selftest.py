@@ -13,6 +13,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import certify
@@ -77,40 +78,38 @@ def _random_measure(rng, pair, max_atoms, unit_mass=False, min_atoms=0):
     return new_measure(pair, atoms) if atoms else zero_measure(pair)
 
 
-def _random_diagram(rng, max_points):
-    return new_diagram([_random_point(rng, _HALF_PLANE) for _ in range(rng.randint(0, max_points))])
+def _draws(stream, count, size, max_atoms, pairs=(_HALF_PLANE, _BOX), exponents=(1, 1.5, 2, 3),
+           **measure_options):
+    """Yield ``count`` draws ``(pair, p, measures)`` from ``random.Random(stream)``.
+
+    Draw k takes the pair and the exponent at k, cyclically, and ``size``
+    measures of at most ``max_atoms`` atoms from :func:`_random_measure`.
+    """
+    rng = random.Random(stream)
+    for k in range(count):
+        pair = pairs[k % len(pairs)]
+        measures = tuple(
+            _random_measure(rng, pair, max_atoms, **measure_options) for _ in range(size)
+        )
+        yield pair, exponents[k % len(exponents)], measures
 
 
 # Instance streams shared between criteria (criterion 5 re-certifies the
 # plans produced by criteria 1-3, so the streams must be deterministic).
 
 def _oracle_instances(seed, count):
-    rng = random.Random(seed * 1000 + 1)
-    for k in range(count):
-        p = (1, 1.5, 2, 3)[k % 4]
-        mu = _random_measure(rng, _HALF_PLANE, 4, unit_mass=True)
-        nu = _random_measure(rng, _HALF_PLANE, 4, unit_mass=True)
-        yield mu, nu, p
+    return _draws(seed * 1000 + 1, count, 2, 4, pairs=(_HALF_PLANE,), unit_mass=True)
 
 
 def _diagram_instances(seed, count):
-    rng = random.Random(seed * 1000 + 2)
-    for k in range(count):
-        p = (1, 2)[k % 2]
-        yield _random_diagram(rng, 4), _random_diagram(rng, 4), p
+    """Pairs of unit-mass half-plane measures: embedded diagrams."""
+    return _draws(
+        seed * 1000 + 2, count, 2, 4, pairs=(_HALF_PLANE,), exponents=(1, 2), unit_mass=True
+    )
 
 
 def _triple_instances(seed, count, max_atoms=6):
-    rng = random.Random(seed * 1000 + 3)
-    for k in range(count):
-        pair = _HALF_PLANE if k % 2 == 0 else _BOX
-        p = (1, 1.5, 2, 3)[k % 4]
-        yield (
-            _random_measure(rng, pair, max_atoms),
-            _random_measure(rng, pair, max_atoms),
-            _random_measure(rng, pair, max_atoms),
-            p,
-        )
+    return _draws(seed * 1000 + 3, count, 3, max_atoms)
 
 
 CRITERIA = ()  # in order, each added by _criterion
@@ -143,7 +142,7 @@ def _criterion(number, name, **quick):
 def criterion_oracle_equivalence(seed=DEFAULT_SEED, count=500):
     """The solver's exact Wb_p^p equals the oracle's on small unit-mass instances."""
     worst = Fraction(0)
-    for mu, nu, p in _oracle_instances(seed, count):
+    for _, p, (mu, nu) in _oracle_instances(seed, count):
         got = solve_detail(mu, nu, p).wb_p_exact
         worst = max(worst, abs(got - brute_force_wb(mu, nu, p).exact))
     return float(worst), worst == 0, f"{count} instances"
@@ -153,7 +152,9 @@ def criterion_oracle_equivalence(seed=DEFAULT_SEED, count=500):
 def criterion_embedding(seed=DEFAULT_SEED, count=200):
     """The exact d_p^p of the embedded diagrams equals the oracle's optimal matching cost."""
     worst = Fraction(0)
-    for sigma, tau, p in _diagram_instances(seed, count):
+    for _, p, measures in _diagram_instances(seed, count):
+        # The diagram holds each atom's point as many times as its mass counts.
+        sigma, tau = (new_diagram(x for x, m in mu.atoms for _ in range(int(m))) for mu in measures)
         got = solve_detail(diagram_to_measure(sigma), diagram_to_measure(tau), p).wb_p_exact
         worst = max(worst, abs(got - brute_force_diagram(sigma, tau, p).exact))
     return float(worst), worst == 0, f"{count} diagram pairs"
@@ -168,7 +169,7 @@ def criterion_metric_axioms(seed=DEFAULT_SEED, count=200):
     its tolerance, so passing means worst <= 1.
     """
     worst = 0.0
-    for mu1, mu2, mu3, p in _triple_instances(seed, count):
+    for _, p, (mu1, mu2, mu3) in _triple_instances(seed, count):
         d12 = wb_distance(mu1, mu2, p)
         d21 = wb_distance(mu2, mu1, p)
         d23 = wb_distance(mu2, mu3, p)
@@ -184,12 +185,8 @@ def criterion_metric_axioms(seed=DEFAULT_SEED, count=200):
 @_criterion(4, "distance-to-zero", count=20)
 def criterion_distance_to_zero(seed=DEFAULT_SEED, count=100):
     """Wb_p(mu, 0)^p equals the p-energy of mu."""
-    rng = random.Random(seed * 1000 + 4)
     worst = 0.0
-    for k in range(count):
-        pair = _HALF_PLANE if k % 2 == 0 else _BOX
-        p = (1, 1.5, 2, 3)[k % 4]
-        mu = _random_measure(rng, pair, 6)
+    for pair, p, (mu,) in _draws(seed * 1000 + 4, count, 1, 6):
         got = wb_distance(mu, zero_measure(pair), p) ** p
         want = p_energy(mu, p)
         worst = max(worst, abs(got - want) / (1.0 + want))
@@ -226,34 +223,23 @@ def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200
 
     Each solver plan is certified as ``partialot certify`` does, by
     :func:`certify.certify_optimal`, at ``tol = 1e-9``."""
-    worst = 0.0
-    failed = []
-
-    def certify_one(mu, nu, p, tag):
-        nonlocal worst
-        wb, plan, duals = solve(mu, nu, p)
-        try:
-            report = certify.certify_optimal(mu, nu, plan, duals, p, tol=1e-9)
-        except InadmissiblePlanError:
-            failed.append(tag)
-        else:
-            worst = max(worst, report.worst_violation)
-            if not report.all_passed():
-                failed.append(tag)
-        return plan, duals
-
-    plans = []
-    for k, (mu, nu, p) in enumerate(_oracle_instances(seed, count1)):
-        plan, duals = certify_one(mu, nu, p, f"c1#{k}")
-        plans.append((mu, nu, p, plan, duals))
-    for k, (sigma, tau, p) in enumerate(_diagram_instances(seed, count2)):
-        mu, nu = diagram_to_measure(sigma), diagram_to_measure(tau)
-        plan, duals = certify_one(mu, nu, p, f"c2#{k}")
-        plans.append((mu, nu, p, plan, duals))
-    for k, (mu1, mu2, mu3, p) in enumerate(_triple_instances(seed, count3)):
-        for a, b in ((mu1, mu2), (mu2, mu3)):
-            plan, duals = certify_one(a, b, p, f"c3#{k}")
-            plans.append((a, b, p, plan, duals))
+    worst, failed, plans = 0.0, 0, []
+    draws = chain(
+        _oracle_instances(seed, count1),
+        _diagram_instances(seed, count2),
+        _triple_instances(seed, count3),
+    )
+    for _, p, measures in draws:
+        for mu, nu in zip(measures, measures[1:]):  # a triple (mu1, mu2, mu3) gives two plans
+            _, plan, duals = solve(mu, nu, p)
+            try:
+                report = certify.certify_optimal(mu, nu, plan, duals, p, tol=1e-9)
+            except InadmissiblePlanError:
+                failed += 1
+            else:
+                worst = max(worst, report.worst_violation)
+                failed += not report.all_passed()
+            plans.append((mu, nu, p, plan, duals))
 
     # Perturbation sensitivity.
     rng = random.Random(seed * 1000 + 5)
@@ -270,23 +256,18 @@ def criterion_certificates(seed=DEFAULT_SEED, count1=500, count2=200, count3=200
         if not report.all_passed():
             rejected += 1
     sensitivity_ok = tried == 0 or rejected >= 0.95 * tried
-    detail = f"{len(plans)} plans, {len(failed)} cert failures; {rejected}/{tried} perturbations rejected"
+    detail = f"{len(plans)} plans, {failed} cert failures; {rejected}/{tried} perturbations rejected"
     return worst, (not failed) and sensitivity_ok, detail
 
 
 @_criterion(6, "geodesics", count=5)
 def criterion_geodesics(seed=DEFAULT_SEED, count=50):
     """Constant speed, endpoint recovery and interior atoms off A."""
-    rng = random.Random(seed * 1000 + 6)
     grid = [i / 10 for i in range(11)]
     worst = 0.0
     recovery_ok = True
     interior_ok = True
-    for k in range(count):
-        pair = _HALF_PLANE if k % 2 == 0 else _BOX
-        p = (1, 1.5, 2, 3)[k % 4]
-        mu0 = _random_measure(rng, pair, 4)
-        mu1 = _random_measure(rng, pair, 4)
+    for pair, p, (mu0, mu1) in _draws(seed * 1000 + 6, count, 2, 4):
         path = geodesic_path(mu0, mu1, p)
         violation = check_constant_speed(path, grid)
         worst = max(worst, violation / (1.0 + path.length))
@@ -308,14 +289,9 @@ def criterion_geodesics(seed=DEFAULT_SEED, count=50):
 @_criterion(7, "non-negative-curvature", count=10)
 def criterion_curvature(seed=DEFAULT_SEED, count=100):
     """Non-negative curvature comparison margin at p = 2."""
-    rng = random.Random(seed * 1000 + 7)
     grid = [i / 10 for i in range(11)]
     min_margin = math.inf
-    for k in range(count):
-        pair = _HALF_PLANE if k % 2 == 0 else _BOX
-        mu_p = _random_measure(rng, pair, 3)
-        mu_q = _random_measure(rng, pair, 3)
-        mu_r = _random_measure(rng, pair, 3)
+    for _, _, (mu_p, mu_q, mu_r) in _draws(seed * 1000 + 7, count, 3, 3):
         min_margin = min(min_margin, curvature_comparison(mu_p, mu_q, mu_r, grid))
     return min_margin, min_margin >= -1e-8, f"{count} triples"
 
@@ -323,12 +299,8 @@ def criterion_curvature(seed=DEFAULT_SEED, count=100):
 @_criterion(8, "angle-at-zero", count=20)
 def criterion_angle_at_zero(seed=DEFAULT_SEED, count=200):
     """No obtuse angles at the zero measure."""
-    rng = random.Random(seed * 1000 + 8)
     min_value = math.inf
-    for k in range(count):
-        pair = _HALF_PLANE if k % 2 == 0 else _BOX
-        mu = _random_measure(rng, pair, 5)
-        nu = _random_measure(rng, pair, 5)
+    for _, _, (mu, nu) in _draws(seed * 1000 + 8, count, 2, 5):
         min_value = min(min_value, angle_at_zero(mu, nu))
     return min_value, min_value >= -1e-10, f"{count} pairs"
 
@@ -336,14 +308,10 @@ def criterion_angle_at_zero(seed=DEFAULT_SEED, count=200):
 @_criterion(9, "truncation", count=10)
 def criterion_truncation(seed=DEFAULT_SEED, count=50):
     """Truncation distance is monotone, tail-bounded and eventually zero."""
-    rng = random.Random(seed * 1000 + 9)
     radii = [2.0 ** (-k) for k in range(9)]  # 1, 0.5, ..., 2^-8
     worst = 0.0
     ok = True
-    for k in range(count):
-        pair = _HALF_PLANE if k % 2 == 0 else _BOX
-        p = (1, 2)[k % 2]
-        mu = _random_measure(rng, pair, 6, min_atoms=1)
+    for pair, p, (mu,) in _draws(seed * 1000 + 9, count, 1, 6, exponents=(1, 2), min_atoms=1):
         min_gap = min(pair.dist_to_A(pt) for pt, _ in mu.atoms)
         previous = math.inf
         for r in radii:
@@ -367,7 +335,7 @@ def criterion_gluing(seed=DEFAULT_SEED, count=100):
     """Glued projections recover the inputs; composition obeys the triangle bound."""
     worst = 0.0
     ok = True
-    for mu1, mu2, mu3, p in _triple_instances(seed + 1, count, max_atoms=4):
+    for _, p, (mu1, mu2, mu3) in _triple_instances(seed + 1, count, max_atoms=4):
         r12 = solve(mu1, mu2, p)
         r23 = solve(mu2, mu3, p)
         glued = glue(r12.plan, r23.plan)

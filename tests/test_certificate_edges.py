@@ -7,8 +7,10 @@ rounding could hide a defect:
 
 * exact ties: half-plane points on a small integer lattice times 2^e,
   |e| <= 400, out to where costs leave the float range;
-* the box [0, 4]^2 on the half-integer lattice, and the 12-point finite
-  pair of ``tests/test_certify.py``;
+* the box [0, 4]^2 on its half-integer lattice and the 12-point finite pair
+  of ``tests/test_certify.py``, both scaled by 2^e, |e| <= 500: the box
+  [0, 4 * 2^e]^2 with its lattice times 2^e, and the finite pair's table
+  times 2^e, whose triangle inequalities stay exact;
 * atoms shared by both measures, and zero measures;
 * p just above 1 as well as 1, 1.5, 2 and 3.
 
@@ -19,6 +21,7 @@ float range the solver raises its documented ``FloatRangeError``; no other
 error is allowed.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -29,11 +32,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from partialot import FloatRangeError, certify_optimal, new_measure, selftest  # noqa: E402
+from partialot import EuclideanBoxPair, FinitePair, FloatRangeError  # noqa: E402
+from partialot import certify_optimal, new_measure, selftest  # noqa: E402
 from partialot import solve, solve_detail  # noqa: E402
 from partialot.certify import cyclical_monotonicity_violation  # noqa: E402
 from partialot.plans import marginals  # noqa: E402
-from test_certify import BOX, FIN, HP  # noqa: E402
+from test_certify import FIN, HP  # noqa: E402
 
 
 def _scaled_lattice(e):
@@ -42,15 +46,31 @@ def _scaled_lattice(e):
     return point.map(lambda ag: (math.ldexp(ag[0], e), math.ldexp(ag[0] + ag[1], e)))
 
 
-_HALF = st.integers(1, 7).map(lambda i: i / 2)
-_POINTS = {
+def _points(point):
+    return st.lists(point, min_size=1, max_size=6, unique=True)
+
+
+def _box(e):
+    """The box [0, 4 * 2^e]^2 and points on its half-integer lattice times 2^e."""
+    side, half = math.ldexp(4, e), st.integers(1, 7).map(lambda i: math.ldexp(i, e - 1))
+    pair = EuclideanBoxPair((0.0, 0.0), (side, side))
+    return st.tuples(st.just(pair), _points(st.tuples(half, half)))
+
+
+@functools.lru_cache(maxsize=None)
+def _finite_pair(e):
+    return FinitePair(tuple(tuple(math.ldexp(d, e) for d in row) for row in FIN.table), FIN.subset)
+
+
+_SCALE = st.integers(-500, 500)
+_INSTANCES = {  # (pair, points) strategies
     "half_plane": st.integers(-400, 400).flatmap(
-        lambda e: st.lists(_scaled_lattice(e), min_size=1, max_size=6, unique=True)
+        lambda e: st.tuples(st.just(HP), _points(_scaled_lattice(e)))
     ),
-    "box": st.lists(st.tuples(_HALF, _HALF), min_size=1, max_size=6, unique=True),
-    "finite": st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True),  # 10, 11 are A
+    "box": _SCALE.flatmap(_box),
+    # Points 10 and 11 are A.
+    "finite": st.tuples(_SCALE.map(_finite_pair), _points(st.integers(0, 9))),
 }
-_PAIRS = {"half_plane": HP, "box": BOX, "finite": FIN}
 _MASSES = st.integers(1, 40).map(lambda k: k / 8)
 
 
@@ -69,10 +89,10 @@ def _exact_cost(plan, got_mu, got_nu, p) -> Fraction:
 
 
 @pytest.mark.parametrize("p", [1, 1 + 2**-40, 1.5, 2, 3])
-@pytest.mark.parametrize("kind", sorted(_PAIRS))
+@pytest.mark.parametrize("kind", sorted(_INSTANCES))
 @given(data=st.data())
 def test_certificates_are_sound_at_the_edges(kind, p, data):
-    pair, points = _PAIRS[kind], data.draw(_POINTS[kind])
+    pair, points = data.draw(_INSTANCES[kind])
     atoms = st.lists(st.tuples(st.sampled_from(points), _MASSES), max_size=5)
     mu, nu = (new_measure(pair, data.draw(atoms)) for _ in range(2))
     try:
