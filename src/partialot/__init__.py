@@ -41,7 +41,6 @@ from .plans import (
     TransportPlan,
     compose,
     cost,
-    decompose,
     glue,
     marginals,
     new_plan,
@@ -66,7 +65,6 @@ from .geodesic import (
     GeodesicPath,
     angle_at_zero,
     check_constant_speed,
-    curvature_comparison,
     curvature_margins,
     geodesic_path,
     interpolate,

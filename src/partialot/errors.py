@@ -55,6 +55,15 @@ class FloatRangeError(PartialOTError, OverflowError):
     """A cost, the optimum or a potential lies beyond the float range."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` for a refusal message, or a stand-in where repr fails."""
+    # repr raises ValueError on an int past Python's digit limit, such as 10**5000.
+    try:
+        return repr(value)
+    except Exception:
+        return f"<{type(value).__name__} that repr cannot print>"
+
+
 def _is_rational(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -78,13 +87,13 @@ def as_number(value) -> float:
         return float(value)
     if _is_rational(value):
         return math.inf if value > 0 else -math.inf
-    raise TypeError(f"expected a number, got {value!r}")
+    raise TypeError(f"expected a number, got {shown(value)}")
 
 
 def check_exponent(p) -> float:
     """Validate the transport exponent: a finite real number with p >= 1."""
     if not (is_number(p) and 1.0 <= float(p) < math.inf):
-        raise PartialOTError(f"exponent p must be a finite real >= 1, got {p!r}")
+        raise PartialOTError(f"exponent p must be a finite real >= 1, got {shown(p)}")
     return float(p)
 
 
@@ -95,5 +104,5 @@ def check_tol(tol, what: str) -> float:
     infinite tolerance pass every one.  ``what`` names it in the message.
     """
     if not (is_number(tol) and 0.0 <= float(tol) < math.inf):
-        raise ValueError(f"{what} must be finite and >= 0, got {tol!r}")
+        raise ValueError(f"{what} must be finite and >= 0, got {shown(tol)}")
     return float(tol)

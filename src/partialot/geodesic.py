@@ -8,7 +8,6 @@ provides the constant-speed check, the non-negative-curvature comparison
 margin (p = 2) and the obtuse-angle test at the zero measure.
 """
 
-import math
 from typing import NamedTuple
 
 from .errors import UnsupportedPairError, check_exponent
@@ -22,9 +21,7 @@ from .solver import solve  # noqa: F401
 class GeodesicPath(NamedTuple):
     """An optimal plan together with its interpolation rule."""
 
-    plan: object  # TransportPlan between mu0 and mu1
-    pair: object
-    p: float
+    plan: object  # TransportPlan between mu0 and mu1; its pair and p are the path's
     length: float  # Wb_p(mu0, mu1)
 
 
@@ -39,7 +36,7 @@ def geodesic_path(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p) -> GeodesicPath
     if not pair.geodesic_capable:
         raise UnsupportedPairError(f"pair kind {pair.kind!r} is not geodesic; cannot interpolate")
     opt = _optimum(mu0, mu1, p)
-    return GeodesicPath(_plan_of(pair, opt, p), pair, p, opt.wb)
+    return GeodesicPath(_plan_of(pair, opt, p), opt.wb)
 
 
 def interpolate_detail(path: GeodesicPath, t):
@@ -53,7 +50,7 @@ def interpolate_detail(path: GeodesicPath, t):
     :class:`FloatRangeError`.
     """
     t = _check_t(t)
-    pair = path.pair
+    pair = path.plan.pair
     kept = []
     dropped = []
     for x, y, m in path.plan.entries:
@@ -81,7 +78,7 @@ def check_constant_speed(path: GeodesicPath, t_grid) -> float:
     worst = 0.0
     for i, s in enumerate(grid):
         for t in grid[i + 1 :]:
-            d = wb_distance(interpolants[s], interpolants[t], path.p)
+            d = wb_distance(interpolants[s], interpolants[t], path.plan.p)
             worst = max(worst, abs(d - (t - s) * path.length))
     return worst
 
@@ -110,11 +107,6 @@ def curvature_margins(mu_p: DiscreteMeasure, mu_q: DiscreteMeasure, mu_r: Discre
         comparison = (1.0 - t) * d_pq + t * d_pr - (1.0 - t) * t * d_qr
         margins.append(d_pt - comparison)
     return margins
-
-
-def curvature_comparison(mu_p: DiscreteMeasure, mu_q: DiscreteMeasure, mu_r: DiscreteMeasure, t_grid) -> float:
-    """Minimum of :func:`curvature_margins` over ``t_grid`` (inf when it is empty)."""
-    return min(curvature_margins(mu_p, mu_q, mu_r, t_grid), default=math.inf)
 
 
 def angle_at_zero(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -13,7 +13,7 @@ from itertools import groupby
 
 from .errors import (
     AtomOnBoundaryError, FloatRangeError, NonPositiveMassError,
-    as_number, check_exponent, check_tol, is_number,
+    as_number, check_exponent, check_tol, is_number, shown,
 )
 from .pairs import HalfPlanePair, MetricPair
 
@@ -121,7 +121,7 @@ def truncate(mu: DiscreteMeasure, r) -> DiscreteMeasure:
     Idempotent for fixed r; the result is atomwise dominated by mu.
     """
     if not (is_number(r) and float(r) > 0.0):
-        raise ValueError(f"truncation radius must be positive, got {r!r}")
+        raise ValueError(f"truncation radius must be positive, got {shown(r)}")
     r = float(r)
     kept = tuple((pt, m) for pt, m in mu.atoms if mu.pair._dist_to_A(pt) > r)
     return DiscreteMeasure(mu.pair, kept)

@@ -31,7 +31,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FloatRangeError, InvalidPointError, UnsupportedPairError, as_number, is_number
+from .errors import (
+    FloatRangeError, InvalidPointError, UnsupportedPairError, as_number, is_number, shown,
+)
 
 Point = "tuple[float, ...] | int"
 
@@ -168,24 +170,24 @@ def _dyadic(rows, k: int = 0) -> tuple:
 def _as_coords(x, dim: int, pair: MetricPair) -> tuple:
     if is_number(x):
         raise InvalidPointError(
-            f"pair kind {pair.kind!r} expects a coordinate sequence, got {x!r}"
+            f"pair kind {pair.kind!r} expects a coordinate sequence, got {shown(x)}"
         )
     try:
         coords = tuple(c if type(c) is float else as_number(c) for c in x)
     except TypeError as exc:
-        raise InvalidPointError(f"not a coordinate sequence: {x!r}") from exc
+        raise InvalidPointError(f"not a coordinate sequence: {shown(x)}") from exc
     if len(coords) != dim:
         raise InvalidPointError(
             f"pair kind {pair.kind!r} expects {dim} coordinates, got {len(coords)}"
         )
     if not all(math.isfinite(c) for c in coords):
-        raise InvalidPointError(f"non-finite coordinates: {x!r}")
+        raise InvalidPointError(f"non-finite coordinates: {shown(x)}")
     return coords
 
 
 def _check_t(t) -> float:
     if not (is_number(t) and 0.0 <= float(t) <= 1.0):
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
+        raise ValueError(f"interpolation parameter must lie in [0, 1], got {shown(t)}")
     return float(t)
 
 
@@ -204,18 +206,21 @@ class HalfPlanePair(MetricPair):
     def validate_point(self, x) -> tuple:
         a, b = _as_coords(x, 2, self)
         if a > b:
-            raise InvalidPointError(f"point {x!r} lies below the diagonal")
+            raise InvalidPointError(f"point {shown(x)} lies below the diagonal")
         return (a, b)
 
     _distance = staticmethod(math.dist)
 
     def _dist_to_A(self, x) -> float:
         a, b = x
-        return (b - a) / _SQRT2
+        d = (b - a) / _SQRT2  # inf only where b - a overflows; the distance may be finite
+        return d if d < math.inf else b / _SQRT2 - a / _SQRT2
 
     def _project_A(self, x) -> tuple:
         a, b = x
         mid = 0.5 * (a + b)
+        if not math.isfinite(mid):  # a + b overflows, yet its half does not
+            mid = 0.5 * a + 0.5 * b
         return (mid, mid)
 
     def _geo_point(self, x, y, t: float) -> tuple:
@@ -245,7 +250,7 @@ class HalfPlanePair(MetricPair):
 
 def _canon_box_corner(v) -> tuple:
     if not all(is_number(c) for c in v):
-        raise ValueError(f"box corners must be numbers within the float range, got {v!r}")
+        raise ValueError(f"box corners must be numbers within the float range, got {shown(v)}")
     return tuple(float(c) for c in v)
 
 
@@ -284,7 +289,7 @@ class EuclideanBoxPair(MetricPair):
         coords = _as_coords(x, self.dim, self)
         for c, l, h in zip(coords, self.lo, self.hi):
             if not l <= c <= h:
-                raise InvalidPointError(f"point {x!r} lies outside the box")
+                raise InvalidPointError(f"point {shown(x)} lies outside the box")
         return coords
 
     _distance = staticmethod(math.dist)
@@ -389,9 +394,9 @@ class FinitePair(MetricPair):
 
     def validate_point(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidPointError(f"finite pair expects an integer index, got {x!r}")
+            raise InvalidPointError(f"finite pair expects an integer index, got {shown(x)}")
         if not 0 <= x < self.size:
-            raise InvalidPointError(f"index {x} out of range for {self.size} points")
+            raise InvalidPointError(f"index {shown(x)} out of range for {self.size} points")
         return x
 
     def _distance(self, x, y) -> float:
@@ -431,7 +436,7 @@ class FinitePair(MetricPair):
 def pair_from_description(desc: dict) -> MetricPair:
     """Build a pair from its description mapping (see ``describe``)."""
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ValueError(f"pair description must be a mapping with a 'kind' key: {desc!r}")
+        raise ValueError(f"pair description must be a mapping with a 'kind' key: {shown(desc)}")
     kind = desc["kind"]
     if kind == "half_plane":
         return HalfPlanePair()
@@ -451,4 +456,4 @@ def pair_from_description(desc: dict) -> MetricPair:
             raise ValueError(
                 f"finite description needs a list of distance rows and a list of indices: {exc}"
             ) from exc
-    raise ValueError(f"unknown pair kind {kind!r}")
+    raise ValueError(f"unknown pair kind {shown(kind)}")

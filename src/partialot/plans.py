@@ -2,8 +2,8 @@
 
 A :class:`TransportPlan` is a finite list of (source, target, mass) entries;
 no entry may have both endpoints on A.  The module provides cost and
-marginal computations, the three-way decomposition by endpoint location,
-and the discrete gluing/composition used in the triangle inequality.
+marginal computations and the discrete gluing/composition used in the
+triangle inequality.
 """
 
 from dataclasses import dataclass
@@ -89,44 +89,17 @@ def marginals(plan: TransportPlan):
     )
 
 
-def decompose(plan: TransportPlan):
-    """Split the plan into its interior, outgoing and incoming parts.
-
-    Returns (interior Omega->Omega, outgoing Omega->A, incoming A->Omega);
-    the three parts partition the entries and preserve masses exactly.
-    """
-    pair = plan.pair
-    interior, outgoing, incoming = [], [], []
-    for entry in plan.entries:
-        s, d, _ = entry
-        s_in = pair._in_A(s)
-        d_in = pair._in_A(d)
-        if not s_in and not d_in:
-            interior.append(entry)
-        elif not s_in:
-            outgoing.append(entry)
-        else:
-            incoming.append(entry)
-    return (
-        TransportPlan(pair, tuple(interior), plan.p),
-        TransportPlan(pair, tuple(outgoing), plan.p),
-        TransportPlan(pair, tuple(incoming), plan.p),
-    )
-
-
 @dataclass(frozen=True)
 class GluedPlan:
     """A three-point coupling of two plans sharing a middle marginal.
 
-    ``triples`` couple (first, middle, last) points; ``defect12`` and
-    ``defect23`` are the masses added on the diagonal of A x A so that the
-    (1,2) and (2,3) projections recover the input plans plus these defects.
+    ``triples`` couple (first, middle, last) points.  The (1,2) and (2,3)
+    projections recover the input plans plus a defect on the diagonal of
+    A x A, which :func:`projection_12` and :func:`projection_23` return.
     """
 
     pair: MetricPair
     triples: tuple  # ((a, b, c, mass), ...)
-    defect12: tuple  # ((boundary point, mass), ...)
-    defect23: tuple
     p: float
 
     @property
@@ -143,8 +116,8 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     equal to a relative 1e-10 (:func:`measures.measures_close`).  At each
     shared middle atom the incoming and outgoing masses are coupled
     proportionally.  Entries of ``plan12`` ending on A and entries of
-    ``plan23`` starting on A become constant-middle triples, with matching
-    diagonal defects.
+    ``plan23`` starting on A become constant-middle triples, whose A x A
+    projections are the diagonal defects.
     """
     if plan12.pair != plan23.pair:
         raise PairMismatchError("glued plans must live on the same pair")
@@ -153,19 +126,15 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
     incoming = {}  # middle point in Omega -> [(first point, mass)]
     outgoing = {}  # middle point in Omega -> [(last point, mass)]
     triples = []
-    defect12 = []
-    defect23 = []
 
     for s, d, m in plan12.entries:
         if pair._in_A(d):
             triples.append((s, d, d, m))
-            defect23.append((d, m))
         else:
             incoming.setdefault(d, []).append((s, m))
     for s, d, m in plan23.entries:
         if pair._in_A(s):
             triples.append((s, s, d, m))
-            defect12.append((s, m))
         else:
             outgoing.setdefault(s, []).append((d, m))
 
@@ -178,13 +147,7 @@ def glue(plan12: TransportPlan, plan23: TransportPlan) -> GluedPlan:
             for z, n in outgoing[y]:
                 triples.append((x, y, z, m * n / m_out[y]))
 
-    return GluedPlan(
-        pair,
-        tuple(sorted(triples)),
-        _canonical_atoms(defect12),
-        _canonical_atoms(defect23),
-        plan12.p,
-    )
+    return GluedPlan(pair, tuple(sorted(triples)), plan12.p)
 
 
 def _project(glued: GluedPlan, first: int, last: int):

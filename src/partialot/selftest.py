@@ -21,7 +21,7 @@ from .errors import InadmissiblePlanError
 from .geodesic import (
     angle_at_zero,
     check_constant_speed,
-    curvature_comparison,
+    curvature_margins,
     geodesic_path,
     interpolate,
 )
@@ -292,7 +292,7 @@ def criterion_curvature(seed=DEFAULT_SEED, count=100):
     grid = [i / 10 for i in range(11)]
     min_margin = math.inf
     for _, _, (mu_p, mu_q, mu_r) in _draws(seed * 1000 + 7, count, 3, 3):
-        min_margin = min(min_margin, curvature_comparison(mu_p, mu_q, mu_r, grid))
+        min_margin = min(min_margin, min(curvature_margins(mu_p, mu_q, mu_r, grid)))
     return min_margin, min_margin >= -1e-8, f"{count} triples"
 
 

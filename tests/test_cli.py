@@ -13,7 +13,6 @@ import pytest
 import partialot
 from partialot import (
     HalfPlanePair,
-    curvature_comparison,
     curvature_margins,
     new_diagram,
     new_measure,
@@ -203,7 +202,7 @@ def test_curvature_check_machine_margins_are_the_library_margins(measures, tmp_p
     grid = [i / 6 for i in range(7)]
     assert record["grid"] == grid
     assert [m.hex() for m in record["margins"]] == [m.hex() for m in curvature_margins(*mus, grid)]
-    assert record["min_margin"].hex() == curvature_comparison(*mus, grid).hex()
+    assert record["min_margin"].hex() == min(curvature_margins(*mus, grid)).hex()
 
 
 def test_diagram_dist(tmp_path, capsys):

@@ -15,7 +15,7 @@ from partialot import (
     UnsupportedPairError,
     angle_at_zero,
     check_constant_speed,
-    curvature_comparison,
+    curvature_margins,
     geodesic_path,
     interpolate,
     interpolate_detail,
@@ -82,7 +82,7 @@ def test_constant_speed_examples():
         with pytest.raises(ValueError, match="interpolation parameter"):
             check_constant_speed(path, [0.0, t])
         with pytest.raises(ValueError, match="interpolation parameter"):
-            curvature_comparison(mu, mu, nu, [0.0, t])
+            curvature_margins(mu, mu, nu, [0.0, t])
 
 
 def test_constant_speed_random():
@@ -104,8 +104,8 @@ def test_curvature_trivial_cases():
     nu = new_measure(HP, [((0, 3), 1.0)])
     grid = [i / 10 for i in range(11)]
     # degenerate triangle: apex equals one endpoint
-    assert curvature_comparison(mu, mu, nu, grid) >= -1e-9
-    assert curvature_comparison(mu, mu, mu, grid) == pytest.approx(0.0, abs=1e-12)
+    assert min(curvature_margins(mu, mu, nu, grid)) >= -1e-9
+    assert min(curvature_margins(mu, mu, mu, grid)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_curvature_random_margins():
@@ -123,7 +123,7 @@ def test_curvature_random_margins():
                     pts = [(rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5)) for _ in range(n)]
                 return new_measure(pair, [(pt, rng.uniform(0.1, 3)) for pt in pts])
 
-            margin = curvature_comparison(rand_measure(), rand_measure(), rand_measure(), grid)
+            margin = min(curvature_margins(rand_measure(), rand_measure(), rand_measure(), grid))
             assert margin >= -1e-8
 
 
@@ -143,7 +143,7 @@ def test_interpolant_masses_must_stay_finite():
     mu0 = new_measure(HP, [((0, 1), 1e308)])
     mu1 = new_measure(HP, [((0, 2), 1e308), ((0, 3), 1e308)])
     plan = new_plan(HP, [((0, 1), (0, 2), 1e308), ((0, 1), (0, 3), 1e308)], 2)
-    path = GeodesicPath(plan, HP, 2.0, 0.0)
+    path = GeodesicPath(plan, 0.0)
     with pytest.raises(NonPositiveMassError, match="infinite"):
         interpolate_detail(path, 0.0)
     assert len(interpolate(path, 0.5).atoms) == 2

@@ -2,9 +2,11 @@
 
 A number is an int, float or ``Fraction`` within the float range: an int or
 ``Fraction`` that ``float`` cannot convert is refused where an out-of-range
-value is, never with a bare ``OverflowError``.  Every way a loader can fail
-to read its file is a ``MalformedFileError`` that names the file, and the
-CLI exits 1 on it with one ``error:`` line.
+value is, never with a bare ``OverflowError``, and an int past Python's
+4 300-digit string limit never with the bare ``ValueError`` its repr
+raises.  Every way a loader can fail to read its file is a
+``MalformedFileError`` that names the file, and the CLI exits 1 on it with
+one ``error:`` line.
 """
 
 import json
@@ -36,30 +38,54 @@ MU = new_measure(HP, [((0, 1), 1.0)])
 NU = new_measure(HP, [((0, 2), 1.0)])
 RESULT = solve(MU, NU, 2)
 
-# Each entry point, the error it documents, and how it is handed the value v.
+FIN = FinitePair(((0, 1), (1, 0)), frozenset({0}))
+
+# Each entry point, the error it documents, a phrase of its own message, and
+# how it is handed the value v.
 ENTRY_POINTS = {
-    "solve p": (PartialOTError, lambda v: solve(MU, NU, v)),
-    "new_plan p": (PartialOTError, lambda v: new_plan(HP, [((0, 1), (0, 2), 1.0)], v)),
-    "truncate radius": (ValueError, lambda v: truncate(MU, v)),
-    "geo_point t": (ValueError, lambda v: HP.geo_point((0, 1), (0, 2), v)),
-    "certify tol": (ValueError, lambda v: certify_optimal(MU, NU, RESULT.plan, RESULT.duals, 2, v)),
-    "measures_close tol": (ValueError, lambda v: measures_close(MU, NU, v)),
-    "box corner": (ValueError, lambda v: EuclideanBoxPair((0, 0), (v, 1))),
-    "finite table entry": (ValueError, lambda v: FinitePair(((0, v), (v, 0)), frozenset({0}))),
-    "measure mass": (NonPositiveMassError, lambda v: new_measure(HP, [((0, 1), v)])),
-    "plan mass": (NonPositiveMassError, lambda v: new_plan(HP, [((0, 1), (0, 2), v)], 2)),
-    "coordinate": (InvalidPointError, lambda v: new_measure(HP, [((0, v), 1.0)])),
+    "solve p": (PartialOTError, "exponent p", lambda v: solve(MU, NU, v)),
+    "new_plan p": (
+        PartialOTError, "exponent p", lambda v: new_plan(HP, [((0, 1), (0, 2), 1.0)], v)
+    ),
+    "truncate radius": (ValueError, "truncation radius", lambda v: truncate(MU, v)),
+    "geo_point t": (
+        ValueError, "interpolation parameter", lambda v: HP.geo_point((0, 1), (0, 2), v)
+    ),
+    "certify tol": (
+        ValueError,
+        "certificate tolerance",
+        lambda v: certify_optimal(MU, NU, RESULT.plan, RESULT.duals, 2, v),
+    ),
+    "measures_close tol": (ValueError, "mass tolerance", lambda v: measures_close(MU, NU, v)),
+    "box corner": (ValueError, "box corners", lambda v: EuclideanBoxPair((0, 0), (v, 1))),
+    "finite table entry": (
+        ValueError,
+        "distance table entries",
+        lambda v: FinitePair(((0, v), (v, 0)), frozenset({0})),
+    ),
+    "finite index": (InvalidPointError, "index", lambda v: new_measure(FIN, [(v, 1.0)])),
+    "measure mass": (NonPositiveMassError, "mass", lambda v: new_measure(HP, [((0, 1), v)])),
+    "plan mass": (NonPositiveMassError, "mass", lambda v: new_plan(HP, [((0, 1), (0, 2), v)], 2)),
+    "coordinate": (InvalidPointError, "coordinates", lambda v: new_measure(HP, [((0, v), 1.0)])),
+    "half-plane point": (
+        InvalidPointError, "coordinate sequence", lambda v: new_measure(HP, [(v, 1.0)])
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "value", [10**400, -(10**400), Fraction(10**400, 3)], ids=["1e400", "-1e400", "1e400/3"]
+    "value",
+    [10**400, -(10**400), Fraction(10**400, 3), 10**5000],
+    ids=["1e400", "-1e400", "1e400/3", "1e5000"],
 )
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_numbers_past_the_float_range_raise_the_documented_error(entry, value):
-    error, call = ENTRY_POINTS[entry]
-    with pytest.raises(error):
+    # Exactly the documented class, with the package's own message: the bare
+    # ValueError of an unprintable int would also pass pytest.raises(ValueError).
+    error, phrase, call = ENTRY_POINTS[entry]
+    with pytest.raises(error, match=phrase) as caught:
         call(value)
+    assert type(caught.value) is error
 
 
 HALF_PLANE = {"kind": "half_plane"}

@@ -11,7 +11,12 @@ from partialot import (
     HalfPlanePair,
     InvalidPointError,
     UnsupportedPairError,
+    certify_optimal,
     new_diagram,
+    new_measure,
+    solve,
+    wb_distance,
+    zero_measure,
 )
 
 HP = HalfPlanePair()
@@ -51,6 +56,36 @@ def test_project_examples():
     assert HP.project_A((1, 1)) == (1.0, 1.0)
     # d(2,0)=3, d(2,1)=1: nearest boundary index is 1
     assert FIN.project_A(2) == 1
+
+
+def test_half_plane_formulas_at_the_float_range_edge():
+    # b - a and a + b overflow here, though the distance and the midpoint do not.
+    assert HP.dist_to_A((-1e308, 1e308)) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+    assert HP.dist_to_A((-1.7e308, 1.7e308)) == math.inf  # truly past the range
+    assert HP.project_A((1e308, 1.7e308)) == (1.35e308, 1.35e308)
+    assert HP.project_A((-1.7e308, -1e308)) == (-1.35e308, -1.35e308)
+
+    far = new_measure(HP, [((-1e308, 1e308), 1e-10)])
+    assert wb_distance(far, zero_measure(HP), 1) == pytest.approx(math.sqrt(2) * 1e298, rel=1e-12)
+    high = new_measure(HP, [((1e308, 1.7e308), 1.0)])
+    result = solve(high, zero_measure(HP), 1)
+    assert result.plan.entries == (((1e308, 1.7e308), (1.35e308, 1.35e308), 1.0),)
+    assert certify_optimal(high, zero_measure(HP), result.plan, result.duals, 1).all_passed()
+
+
+def test_half_plane_formulas_keep_their_floats_inside_the_range():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(2000):
+        # Half the points have coordinates within a factor 16 of the float range's edge.
+        low = rng.choice((-1074, 1020))
+        a, b = sorted(math.ldexp(rng.uniform(-1, 1), rng.randint(low, 1024)) for _ in range(2))
+        if not (math.isfinite(b - a) and math.isfinite(a + b)):
+            continue
+        checked += 1
+        assert HP.dist_to_A((a, b)) == (b - a) / math.sqrt(2)
+        assert HP.project_A((a, b)) == (0.5 * (a + b),) * 2
+    assert checked > 1000
 
 
 def test_project_consistency_sampled():

@@ -1,4 +1,6 @@
-"""Tests for transport plans: cost, marginals, decomposition, gluing."""
+"""Tests for transport plans: cost, marginals, gluing and projections."""
+
+import itertools
 
 import pytest
 
@@ -9,7 +11,6 @@ from partialot import (
     NonPositiveMassError,
     compose,
     cost,
-    decompose,
     glue,
     marginals,
     new_measure,
@@ -97,28 +98,11 @@ def test_marginals_examples():
     assert nu.atoms == (((0.0, 3.0), 2.0),)
 
 
-def test_decompose():
-    plan = new_plan(
-        HP,
-        [((0, 1), (0, 2), 1.0), ((0, 3), (2, 2), 1.0), ((4, 4), (0, 5), 1.0)],
-        2,
-    )
-    interior, outgoing, incoming = decompose(plan)
-    assert len(interior.entries) == len(outgoing.entries) == len(incoming.entries) == 1
-    assert interior.entries[0][0] == (0.0, 1.0)
-    assert outgoing.entries[0][1] == (2.0, 2.0)
-    assert incoming.entries[0][0] == (4.0, 4.0)
-
-    all_interior = new_plan(HP, [((0, 1), (0, 2), 1.0)], 2)
-    i2, o2, n2 = decompose(all_interior)
-    assert i2 == all_interior and o2.is_empty and n2.is_empty
-
-
 def test_glue_chain_of_singletons():
     x, y, z = (0.0, 1.0), (0.0, 2.0), (0.0, 3.0)
     g = glue(new_plan(HP, [(x, y, 1.0)], 2), new_plan(HP, [(y, z, 1.0)], 2))
     assert g.triples == ((x, y, z, 1.0),)
-    assert g.defect12 == () and g.defect23 == ()
+    assert projection_12(g)[1] == () and projection_23(g)[1] == ()
     assert compose(g).entries == ((x, z, 1.0),)
 
 
@@ -128,15 +112,15 @@ def test_glue_boundary_branches():
     # plan12 ships to the boundary, plan23 is empty
     g = glue(new_plan(HP, [(x, a, 1.0)], 2), new_plan(HP, [], 2))
     assert g.triples == ((x, a, a, 1.0),)
-    assert g.defect23 == ((a, 1.0),)
-    assert g.defect12 == ()
+    assert projection_23(g)[1] == ((a, 1.0),)
+    assert projection_12(g)[1] == ()
     assert compose(g).entries == ((x, a, 1.0),)
 
     # symmetric branch: plan23 receives from the boundary
     b = (1.5, 1.5)
     g2 = glue(new_plan(HP, [], 2), new_plan(HP, [(b, z, 1.0)], 2))
     assert g2.triples == ((b, b, z, 1.0),)
-    assert g2.defect12 == ((b, 1.0),)
+    assert projection_12(g2)[1] == ((b, 1.0),)
     assert compose(g2).entries == ((b, z, 1.0),)
 
 
@@ -188,20 +172,31 @@ def _plans_equal(got, want, tol=1e-10):
     )
 
 
+def _boundary_masses(plan, end):
+    masses = {}
+    for entry in plan.entries:
+        if HP.in_A(entry[end]):
+            masses[entry[end]] = masses.get(entry[end], 0.0) + entry[2]
+    return tuple(sorted(masses.items()))
+
+
 def test_glue_roundtrip_on_solver_plans():
     mu1 = new_measure(HP, [((0, 1), 1.0), ((2, 6), 2.0)])
     mu2 = new_measure(HP, [((0, 2), 1.5), ((1, 4), 0.5)])
     mu3 = new_measure(HP, [((0, 3), 1.0)])
-    for p in (1, 2):
-        r12 = solve(mu1, mu2, p)
-        r23 = solve(mu2, mu3, p)
+    # Read backwards, the chain glues plans that create mass on A as well.
+    for (first, middle, last), p in itertools.product(((mu1, mu2, mu3), (mu3, mu2, mu1)), (1, 2)):
+        r12 = solve(first, middle, p)
+        r23 = solve(middle, last, p)
         g = glue(r12.plan, r23.plan)
         back12, diag12 = projection_12(g)
         back23, diag23 = projection_23(g)
         assert _plans_equal(back12, r12.plan)
         assert _plans_equal(back23, r23.plan)
-        assert diag12 == g.defect12
-        assert diag23 == g.defect23
+        # The A x A parts are the entries of plan23 starting on A and of
+        # plan12 ending on A, merged by boundary point.
+        assert diag12 == _boundary_masses(r23.plan, 0)
+        assert diag23 == _boundary_masses(r12.plan, 1)
         # triangle bound through composition
         lhs = cost(compose(g), p) ** (1 / p)
-        assert lhs <= wb_distance(mu1, mu2, p) + wb_distance(mu2, mu3, p) + 1e-9
+        assert lhs <= wb_distance(first, middle, p) + wb_distance(middle, last, p) + 1e-9

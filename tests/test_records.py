@@ -33,7 +33,7 @@ _FIELDS = {
         "cost_optimal",
         "worst_violation",
     ),
-    GeodesicPath: ("plan", "pair", "p", "length"),
+    GeodesicPath: ("plan", "length"),
     OracleResult: ("value", "witness", "exact"),
     CriterionResult: ("number", "name", "passed", "worst", "detail", "seconds"),
 }
